@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-baseline bench-cold bench-serve bench-scaling cache-stats table1 smoke-obs smoke-serve
+.PHONY: test bench bench-baseline bench-cold bench-serve bench-scaling perfbench cache-stats table1 smoke-obs smoke-serve
 
 test:
 	$(PYTHON) -m pytest -q
@@ -42,6 +42,16 @@ bench-baseline:
 # paths even when a warm .repro-cache is sitting in the working tree.
 bench-cold:
 	REPRO_CACHE=0 $(PYTHON) benchmarks/bench_report.py --compare benchmarks/BENCH_components.json
+
+# The repo benchmark (BENCHMARK.json): one workload end to end, then its
+# JSON result line.  Workloads: calibrate, screen-line, screen-lot;
+# TRACE=1 reports the per-layer metrics instead.
+WORKLOAD ?= calibrate
+SEED ?= 0
+RUN_SECONDS ?= 30
+TRACE ?= 0
+perfbench:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds $(RUN_SECONDS) --trace $(TRACE)
 
 # On-disk inventory of the artifact cache (root, cap, entries per stage).
 cache-stats:

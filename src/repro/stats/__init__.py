@@ -1,4 +1,4 @@
-"""Statistical substrate: kernels, QP, KMM, KDE, PCA and preprocessing.
+"""Statistical substrate: kernels, KMM, KDE, PCA and preprocessing.
 
 Everything here is implemented from first principles on numpy/scipy — the
 environment has no scikit-learn — and each algorithm corresponds to a method
@@ -19,14 +19,12 @@ from repro.stats.kmm import KernelMeanMatcher, KmmProblem, importance_resample
 from repro.stats.mmd import mmd_permutation_test, mmd_squared
 from repro.stats.pca import PrincipalComponentAnalysis
 from repro.stats.preprocessing import StandardScaler, Whitener
-from repro.stats.qp import solve_qp
 
 __all__ = [
     "rbf_kernel",
     "linear_kernel",
     "polynomial_kernel",
     "median_heuristic_gamma",
-    "solve_qp",
     "KernelMeanMatcher",
     "KmmProblem",
     "importance_resample",

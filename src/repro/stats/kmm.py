@@ -12,13 +12,17 @@ which expands to the QP of the paper's Eq. (4):
 
     min_beta  0.5 beta' K beta - kappa' beta,
     K_ij = k(x_i^tr, x_j^tr),   kappa_i = (n_tr / n_te) sum_j k(x_i^tr, x_j^te).
+
+:func:`solve_kmm_qp` solves it exactly with a primal active-set method.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import logging
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -27,9 +31,126 @@ from repro.stats.kernels import (
     pairwise_sq_dists,
     rbf_from_sq_dists,
 )
-from repro.stats.qp import solve_qp
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_2d
+
+_log = logging.getLogger("repro.kmm")
+
+#: Active-set iteration cap; the display lot needs 18 iterations and no
+#: KMM instance of up to 150 weights seen in testing needed more than ~400.
+MAX_ITERATIONS = 1000
+#: Optimality tolerance on the KKT residual, relative to max(1, |kappa|_inf).
+KKT_TOLERANCE = 1e-9
+
+
+def _active_set(K, c, B, beta, free, total, max_iterations, tol):
+    """Primal active-set iterations for ``min 0.5 b'Kb - c'b`` on ``[0, B]^n``.
+
+    ``beta`` is a feasible start and ``free`` marks the variables not held
+    at a bound; both are updated in place.  With ``total`` set, ``sum(beta)``
+    is also held at ``total`` (``beta`` must already satisfy it) through the
+    scalar multiplier ``nu``.  Each iteration minimizes over the free
+    variables by Cholesky and walks towards that minimum.  A bound that
+    blocks the walk joins the held set.  A full step reaches the free-subspace
+    minimum, and the bound with the most negative multiplier is then freed;
+    when none is below ``-tol`` the point is optimal.  Deciding optimality by
+    the full step, not by a numerically zero step, keeps the method from
+    cycling on the nearly singular Gram matrices KMM produces.
+
+    Returns ``(nu, iterations, optimal)``.
+    """
+    nu = 0.0
+    for iteration in range(1, max_iterations + 1):
+        idx = np.flatnonzero(free)
+        if idx.size:
+            held = np.where(free, 0.0, beta)
+            factor = cho_factor(K[np.ix_(idx, idx)])
+            target = cho_solve(factor, c[idx] - K[idx] @ held)
+            if total is not None:
+                direction = cho_solve(factor, np.ones(idx.size))
+                nu = (total - held.sum() - target.sum()) / direction.sum()
+                target += nu * direction
+            step = target - beta[idx]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                room = np.where(step < 0.0, -beta[idx] / step,
+                                np.where(step > 0.0, (B - beta[idx]) / step, np.inf))
+            block = int(np.argmin(room))
+            if room[block] < 1.0:
+                beta[idx] += room[block] * step
+                beta[idx[block]] = 0.0 if step[block] < 0.0 else B
+                free[idx[block]] = False
+                continue
+            beta[idx] = target
+        # Free-subspace minimum: a held bound with a negative multiplier
+        # (gradient pointing into the box) is released.
+        gradient = K @ beta - c - nu
+        multiplier = np.where(beta == B, -gradient, gradient)
+        multiplier[free] = np.inf
+        worst = int(np.argmin(multiplier))
+        if multiplier[worst] >= -tol:
+            return nu, iteration, True
+        free[worst] = True
+    return nu, max_iterations, False
+
+
+def solve_kmm_qp(K, kappa, B: float, lower: float,
+                 upper: float) -> Tuple[np.ndarray, float, int, bool]:
+    """Exact solution of ``min 0.5 b'Kb - kappa'b`` over ``0 <= b <= B``
+    with ``lower <= sum(b) <= upper``.
+
+    ``K`` must be symmetric positive definite.  The box problem is solved
+    first, from ``b = 0``: KMM optima are sparse (most weights sit at 0), so
+    the active set grows from the bottom in about two iterations per
+    non-zero weight.  If its sum leaves the slab, strict convexity puts the
+    optimum on the violated side, and the solver continues with
+    ``sum(b)`` held there, restarting from the box solution moved along a
+    straight line towards ``b = 0`` or ``b = B`` until its sum fits.
+
+    Returns ``(beta, nu, iterations, optimal)``: ``nu`` is the slab
+    multiplier in the Lagrangian gradient ``K b - kappa - nu`` (zero when
+    the slab does not bind) and ``optimal`` is False only when the
+    iteration cap stopped the solver.
+    """
+    n = kappa.shape[0]
+    if n * B < lower:
+        raise ValueError(
+            f"infeasible KMM problem: {n} weights of at most B={B} cannot "
+            f"sum to {lower}"
+        )
+    # Release bounds down to a tenth of the convergence tolerance, so an
+    # optimal exit always passes the KKT check in KernelMeanMatcher.
+    tol = 0.1 * KKT_TOLERANCE * max(1.0, float(np.abs(kappa).max()))
+    beta = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    nu, iterations, optimal = _active_set(
+        K, kappa, B, beta, free, None, MAX_ITERATIONS, tol
+    )
+    total = beta.sum()
+    if optimal and not lower <= total <= upper:
+        bound, corner = (upper, 0.0) if total > upper else (lower, B)
+        beta += (bound - total) / (n * corner - total) * (corner - beta)
+        free = (beta > 0.0) & (beta < B)
+        nu, more, optimal = _active_set(
+            K, kappa, B, beta, free, bound, MAX_ITERATIONS - iterations, tol
+        )
+        iterations += more
+    return beta, nu, iterations, optimal
+
+
+def kkt_residual(K, kappa, beta, nu: float, B: float,
+                 lower: float, upper: float) -> float:
+    """KKT residual of a candidate KMM solution (zero at the optimum).
+
+    The larger of the projected-gradient norm of the Lagrangian gradient
+    ``K beta - kappa - nu`` on the box ``[0, B]`` and the slab's
+    complementary-slackness violation: ``nu > 0`` needs ``sum(beta)`` at
+    ``lower``, ``nu < 0`` at ``upper``.
+    """
+    gradient = K @ beta - kappa - nu
+    projected = beta - np.clip(beta - gradient, 0.0, B)
+    total = float(beta.sum())
+    slack = total - lower if nu > 0 else upper - total if nu < 0 else 0.0
+    return max(float(np.abs(projected).max()), abs(nu) * abs(slack) / beta.size)
 
 
 class KmmProblem:
@@ -68,31 +189,18 @@ class KmmProblem:
         return rbf_from_sq_dists(self.sq_dists_.copy(), gamma)
 
     def sweep(self, gammas: Sequence[float], B: float = 1000.0,
-              eps: Optional[float] = None,
-              warm_start: bool = True) -> List["KernelMeanMatcher"]:
+              eps: Optional[float] = None) -> List["KernelMeanMatcher"]:
         """Fit one matcher per candidate bandwidth, reusing the distances.
 
         Returns the fitted matchers in ``gammas`` order; compare their
         ``rkhs_residual_`` / :meth:`KernelMeanMatcher.effective_sample_size`
-        to choose a bandwidth.
-
-        With ``warm_start=True`` (default) each QP after the first starts
-        from the previous bandwidth's converged weights rather than from the
-        feasible midpoint: neighbouring bandwidths have nearby optima, so
-        SLSQP converges in far fewer iterations.  The solver runs to the
-        same ``ftol`` either way, so warm and cold sweeps agree to solver
-        tolerance (asserted in the test suite); ``warm_start=False`` keeps
-        the bit-exact cold-start reference.
+        to choose a bandwidth.  Each arm is bitwise identical to a one-shot
+        :meth:`KernelMeanMatcher.fit` at its gamma.
         """
-        matchers: List[KernelMeanMatcher] = []
-        x0 = None
-        for g in gammas:
-            matcher = KernelMeanMatcher(B=B, eps=eps, gamma=float(g))
-            matcher.fit_problem(self, x0=x0)
-            matchers.append(matcher)
-            if warm_start and matcher.converged_:
-                x0 = matcher.weights_
-        return matchers
+        return [
+            KernelMeanMatcher(B=B, eps=eps, gamma=float(g)).fit_problem(self)
+            for g in gammas
+        ]
 
 
 class KernelMeanMatcher:
@@ -124,6 +232,7 @@ class KernelMeanMatcher:
         self.weights_: Optional[np.ndarray] = None
         self.converged_: bool = False
         self.rkhs_residual_: Optional[float] = None
+        self.kkt_residual_: Optional[float] = None
         self.qp_iterations_: int = 0
 
     def fit(self, train, test) -> "KernelMeanMatcher":
@@ -137,13 +246,14 @@ class KernelMeanMatcher:
         """
         return self.fit_problem(KmmProblem(train, test))
 
-    def fit_problem(self, problem: KmmProblem,
-                    x0: Optional[np.ndarray] = None) -> "KernelMeanMatcher":
+    def fit_problem(self, problem: KmmProblem) -> "KernelMeanMatcher":
         """Fit on a prebuilt :class:`KmmProblem` (distances already pooled).
 
-        ``x0`` optionally warm-starts the QP (e.g. from a neighbouring
-        bandwidth's weights); ``None`` keeps the cold start from the
-        feasible midpoint ``beta = 1``.
+        ``converged_`` is judged from the solution, not reported by the
+        solver: it holds when the KKT residual (:func:`kkt_residual`, kept
+        as ``kkt_residual_``) is at most ``KKT_TOLERANCE * max(1,
+        |kappa|_inf)``, the weights satisfy the slab and the iteration cap
+        was not hit.  ``qp_iterations_`` counts active-set iterations.
         """
         n_tr = problem.n_train
         n_te = problem.n_test
@@ -165,40 +275,41 @@ class KernelMeanMatcher:
             eps = self.eps
             if eps is None:
                 eps = (np.sqrt(n_tr) - 1.0) / np.sqrt(n_tr)
+            # | mean(beta) - 1 | <= eps  as bounds on sum(beta).
+            lower, upper = n_tr * (1.0 - eps), n_tr * (1.0 + eps)
 
-            # | mean(beta) - 1 | <= eps  as two inequality rows.
-            ones = np.ones((1, n_tr)) / n_tr
-            G = np.vstack([ones, -ones])
-            h = np.array([1.0 + eps, -(1.0 - eps)])
-
-            result = solve_qp(
-                P=K,
-                q=-kappa,
-                lb=0.0,
-                ub=self.B,
-                G=G,
-                h=h,
-                x0=np.ones(n_tr) if x0 is None else np.asarray(x0, dtype=float),
-                max_iterations=500,
+            beta, nu, iterations, optimal = solve_kmm_qp(
+                K, kappa, self.B, lower, upper
             )
-            self.weights_ = np.clip(result.x, 0.0, self.B)
-            self.converged_ = result.converged
-            self.qp_iterations_ = int(result.iterations)
+            self.weights_ = beta
+            self.qp_iterations_ = iterations
+            self.kkt_residual_ = kkt_residual(K, kappa, beta, nu, self.B,
+                                              lower, upper)
+            slab_ok = abs(beta.mean() - 1.0) <= eps + 1e-12
+            self.converged_ = bool(
+                optimal and slab_ok and self.kkt_residual_
+                <= KKT_TOLERANCE * max(1.0, float(np.abs(kappa).max()))
+            )
             self.effective_gamma_ = float(gamma)
             # The achieved RKHS mean discrepancy (the quantity KMM minimizes):
             # ||(1/n_tr) sum beta_i phi(x_i) - (1/n_te) sum phi(x_j)||.  The QP
             # objective is 0.5 b'Kb - kappa'b, so the residual reconstructs as
-            # sqrt(2*objective/n_tr^2 + sum K_test / n_te^2) — a model-fit
-            # diagnostic the solver's convergence flag alone cannot give.
-            residual_sq = (
-                2.0 * result.objective / n_tr**2 + test_kernel_sum / n_te**2
-            )
+            # sqrt(2*objective/n_tr^2 + sum K_test / n_te^2).
+            objective = 0.5 * beta @ K @ beta - kappa @ beta
+            residual_sq = 2.0 * objective / n_tr**2 + test_kernel_sum / n_te**2
             self.rkhs_residual_ = float(np.sqrt(max(0.0, residual_sq)))
-            fit_span.set(converged=result.converged, gamma=self.effective_gamma_,
+            fit_span.set(converged=self.converged_, gamma=self.effective_gamma_,
                          residual=self.rkhs_residual_,
+                         kkt_residual=self.kkt_residual_,
                          qp_iterations=self.qp_iterations_)
+        if not self.converged_:
+            _log.warning(
+                "KMM solution not optimal: KKT residual %.3g after %d "
+                "iterations", self.kkt_residual_, self.qp_iterations_,
+            )
         obs_metrics.gauge("kmm.converged").set(1.0 if self.converged_ else 0.0)
         obs_metrics.histogram("kmm.rkhs_residual").observe(self.rkhs_residual_)
+        obs_metrics.histogram("kmm.kkt_residual").observe(self.kkt_residual_)
         obs_metrics.histogram("kmm.effective_sample_size").observe(
             self.effective_sample_size()
         )
