@@ -29,8 +29,8 @@ bench:
 bench-serve:
 	$(PYTHON) benchmarks/bench_serve.py --min-throughput 5000
 
-# Population-size scaling of the Monte Carlo engines (report only, not
-# gated): wall-clock loop vs batched at growing n_mc with the speedup.
+# Population-size scaling of the Monte Carlo engine (report only, not
+# gated): best wall time and devices/s at growing n_mc.
 bench-scaling:
 	$(PYTHON) benchmarks/bench_scaling.py
 

@@ -61,7 +61,7 @@ def test_kmm_weights(benchmark, paper_data):
 
 def test_device_measurement(benchmark):
     deck = default_spice_deck()
-    campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0, noisy_bench=False)
+    campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0)
     foundry = Foundry(deck_nominal=deck.nominal, variation=deck.variation, seed=0)
     die = foundry.fabricate_lot(1)[0]
 
@@ -70,12 +70,12 @@ def test_device_measurement(benchmark):
 
 
 def test_mc_run_batched(benchmark):
-    """The batched population engine at the gated fixture size."""
+    """The Monte Carlo engine at the gated fixture size."""
     deck = default_spice_deck()
-    campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0, noisy_bench=False)
+    campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0)
     engine = MonteCarloEngine(deck, campaign, numerical_noise=0.0015)
 
-    result = benchmark(lambda: engine.run(100, seed=0, engine="batched"))
+    result = benchmark(lambda: engine.run(100, seed=0))
     assert result.pcms.shape[0] == 100
     assert result.fingerprints.shape == (100, 6)
 

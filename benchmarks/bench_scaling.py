@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Population-size scaling of the Monte Carlo engines (report only).
+"""Population-size scaling of the Monte Carlo engine (report only).
 
-Times ``MonteCarloEngine.run`` at growing ``n_mc`` for both engines and
-prints a wall-clock table with the batched-over-loop speedup:
+Times ``MonteCarloEngine.run`` at growing ``n_mc`` and prints the best wall
+time and the simulated devices per second at each size:
 
     PYTHONPATH=src python benchmarks/bench_scaling.py
     PYTHONPATH=src python benchmarks/bench_scaling.py --sizes 1000,10000,100000
@@ -10,11 +10,7 @@ prints a wall-clock table with the batched-over-loop speedup:
 or ``make bench-scaling``.  This bench is intentionally *not* a regression
 gate: the interesting output is the scaling shape (the paper's method
 sharpens with population size, so the question is how far ``n_mc`` can grow
-before simulation dominates again), and multi-minute loop-engine runs at
-10^5 devices have no place in CI.  ``--max-loop-seconds`` caps the loop
-engine: sizes whose *predicted* loop time (linear extrapolation from the
-largest measured size) exceeds the cap report the extrapolation, marked
-``~``, instead of running for minutes.
+before simulation dominates again).
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import List
 
 
 def _time_once(fn) -> float:
@@ -31,60 +27,32 @@ def _time_once(fn) -> float:
     return time.perf_counter() - start
 
 
-def run_scaling(sizes: List[int], max_loop_seconds: float,
-                repeats: int = 2) -> List[dict]:
-    """Measure both engines at every size; returns one row dict per size."""
+def run_scaling(sizes: List[int], repeats: int = 2) -> List[dict]:
+    """Best-of-``repeats`` wall time at every size; one row dict per size."""
     from repro.circuits.montecarlo import MonteCarloEngine
     from repro.circuits.spicemodel import default_spice_deck
     from repro.testbed.campaign import FingerprintCampaign
 
-    campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0, noisy_bench=False)
+    campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0)
     engine = MonteCarloEngine(default_spice_deck(), campaign,
                               numerical_noise=0.0015)
-    # Warm both code paths (imports, table construction, caches).
-    engine.run(50, seed=0, engine="loop")
-    engine.run(50, seed=0, engine="batched")
+    engine.run(50, seed=0)  # warm imports, tables and caches
 
     rows = []
-    loop_rate: Optional[float] = None  # seconds per device, last measured
     for n in sizes:
-        batched = min(
-            _time_once(lambda: engine.run(n, seed=0, engine="batched"))
-            for _ in range(repeats)
-        )
-        loop_extrapolated = False
-        if loop_rate is not None and loop_rate * n > max_loop_seconds:
-            loop = loop_rate * n
-            loop_extrapolated = True
-        else:
-            loop = min(
-                _time_once(lambda: engine.run(n, seed=0, engine="loop"))
-                for _ in range(repeats)
-            )
-            loop_rate = loop / n
-        rows.append({
-            "n_mc": n,
-            "loop_seconds": loop,
-            "loop_extrapolated": loop_extrapolated,
-            "batched_seconds": batched,
-            "speedup": loop / batched,
-        })
+        seconds = min(_time_once(lambda: engine.run(n, seed=0))
+                      for _ in range(repeats))
+        rows.append({"n_mc": n, "seconds": seconds, "devices_per_s": n / seconds})
     return rows
 
 
 def render_table(rows: List[dict]) -> str:
-    lines = [
-        f"{'n_mc':>8} | {'loop':>12} | {'batched':>12} | {'speedup':>8}",
-        "-" * 50,
-    ]
+    lines = [f"{'n_mc':>8} | {'wall':>12} | {'devices/s':>12}", "-" * 38]
     for row in rows:
-        marker = "~" if row["loop_extrapolated"] else " "
         lines.append(
-            f"{row['n_mc']:>8} | {marker}{row['loop_seconds']:>10.3f} s | "
-            f"{row['batched_seconds']:>10.3f} s | {row['speedup']:>7.1f}x"
+            f"{row['n_mc']:>8} | {row['seconds']:>10.3f} s | "
+            f"{row['devices_per_s']:>12.0f}"
         )
-    if any(row["loop_extrapolated"] for row in rows):
-        lines.append("(~ = loop time extrapolated from the largest measured size)")
     return "\n".join(lines)
 
 
@@ -98,22 +66,15 @@ def main(argv=None) -> int:
         help="comma-separated n_mc values (default: 1000,10000)",
     )
     parser.add_argument(
-        "--max-loop-seconds", type=float, default=60.0,
-        help="extrapolate (not run) the loop engine past this predicted "
-             "wall time",
-    )
-    parser.add_argument(
         "--repeats", type=int, default=2,
-        help="timing repeats per (engine, size); best is reported",
+        help="timing repeats per size; best is reported",
     )
     args = parser.parse_args(argv)
     sizes = [int(token) for token in args.sizes.split(",") if token.strip()]
     if not sizes or any(n <= 0 for n in sizes):
         parser.error(f"--sizes must be positive integers, got {args.sizes!r}")
 
-    rows = run_scaling(sorted(sizes), args.max_loop_seconds,
-                       repeats=args.repeats)
-    print(render_table(rows))
+    print(render_table(run_scaling(sorted(sizes), repeats=args.repeats)))
     return 0
 
 

@@ -10,10 +10,8 @@ run uses and writes them to a JSON report:
 * ``mars_fit`` — the PCM -> fingerprint regressions;
 * ``mars_forward`` — the MARS forward pass alone (400 x 6 problem);
 * ``kmm_weights`` — kernel mean matching (100 train x 120 test);
-* ``mc_run`` — the 100-device Monte Carlo simulation (loop reference
-  engine, one die at a time);
-* ``mc_run_batched`` — the same simulation through the batched population
-  engine (bit-identical output, array programs over the device axis);
+* ``mc_run_batched`` — the 100-device Monte Carlo simulation (array
+  programs over the device axis);
 * ``aes_batch`` — vectorized AES-128 over a (2048 devices x 6 blocks)
   uint8 batch;
 * ``table1`` — the end-to-end three-stage pipeline on pre-generated data;
@@ -89,7 +87,7 @@ def build_cases(n_jobs: int = 1) -> Dict[str, Callable[[], object]]:
     bench_detector = DetectorConfig(kde_samples=30_000, n_jobs=n_jobs)
     sample_kde = AdaptiveKde(alpha=0.5).fit(data.sim_fingerprints)
     deck = default_spice_deck()
-    sim_campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0, noisy_bench=False)
+    sim_campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0)
     engine = MonteCarloEngine(deck, sim_campaign, numerical_noise=0.0015)
     # A forward-pass-only workload larger than one Table-1 regression, so
     # the incremental engine's candidate scoring dominates the timing.
@@ -123,8 +121,7 @@ def build_cases(n_jobs: int = 1) -> Dict[str, Callable[[], object]]:
         "kmm_weights": lambda: KernelMeanMatcher(B=10.0).fit(
             data.sim_pcms, data.dutt_pcms
         ),
-        "mc_run": lambda: engine.run(100, seed=0, n_jobs=n_jobs, engine="loop"),
-        "mc_run_batched": lambda: engine.run(100, seed=0, engine="batched"),
+        "mc_run_batched": lambda: engine.run(100, seed=0),
         "aes_batch": lambda: aes128_encrypt_blocks(aes_key, aes_blocks),
         "table1": lambda: run_table1(detector_config=bench_detector, data=data),
         "serve_batch": lambda: serve_engine.score(serve_batch),

@@ -7,6 +7,11 @@ from typing import Optional
 
 from repro.utils.validation import check_in_range, check_positive, check_probability
 
+#: Fields earlier versions of :class:`DetectorConfig` carried that no longer
+#: exist.  Bundles and saved configs still contain them; loaders drop them
+#: and reject every other unknown key.
+RETIRED_KEYS = frozenset({"engine"})
+
 
 @dataclass
 class DetectorConfig:
@@ -68,11 +73,6 @@ class DetectorConfig:
         CPU count; negative = joblib convention).  Results are bit-identical
         for every value: each boundary owns a child generator spawned from
         the master seed.
-    engine:
-        Population evaluation engine used by data-regeneration paths that
-        simulate or measure device populations: ``"batched"`` (default,
-        array programs) or ``"loop"`` (device-at-a-time reference).  Both
-        produce bit-identical measurements.
     """
 
     n_monte_carlo: int = 100
@@ -96,7 +96,6 @@ class DetectorConfig:
     boundary_method: str = "ocsvm"
     seed: Optional[int] = 11
     n_jobs: int = 1
-    engine: str = "batched"
 
     def __post_init__(self):
         if self.n_monte_carlo < 10:
@@ -132,7 +131,8 @@ class DetectorConfig:
             )
         if not isinstance(self.n_jobs, int) or isinstance(self.n_jobs, bool):
             raise ValueError(f"n_jobs must be an integer, got {self.n_jobs!r}")
-        if self.engine not in ("batched", "loop"):
-            raise ValueError(
-                f"engine must be 'batched' or 'loop', got {self.engine!r}"
-            )
+
+
+def drop_retired_keys(raw: dict) -> dict:
+    """``raw`` without :data:`RETIRED_KEYS` (persisted configs stay loadable)."""
+    return {key: value for key, value in raw.items() if key not in RETIRED_KEYS}

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.core.config import DetectorConfig
+from repro.core.config import DetectorConfig, drop_retired_keys
 from repro.experiments.platformcfg import ExperimentData
 
 PathLike = Union[str, Path]
@@ -73,9 +73,10 @@ def load_detector_config(path: PathLike) -> DetectorConfig:
     """Load a configuration written by :func:`save_detector_config`.
 
     Unknown keys are rejected — a config written by a newer library version
-    should fail loudly rather than be silently misinterpreted.
+    should fail loudly rather than be silently misinterpreted — except the
+    retired fields older versions wrote (:data:`~repro.core.config.RETIRED_KEYS`).
     """
-    raw = json.loads(Path(path).read_text())
+    raw = drop_retired_keys(json.loads(Path(path).read_text()))
     known = {field.name for field in dataclasses.fields(DetectorConfig)}
     unknown = set(raw) - known
     if unknown:

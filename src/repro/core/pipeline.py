@@ -25,7 +25,7 @@ import numpy as np
 from repro import cache as artifact_cache
 from repro.cache import digest_array
 from repro.core.boundaries import TrustedRegion
-from repro.core.config import DetectorConfig
+from repro.core.config import DetectorConfig, drop_retired_keys
 from repro.core.datasets import (
     DatasetBundle,
     build_s1,
@@ -388,7 +388,7 @@ class GoldenChipFreeDetector:
     @classmethod
     def from_state(cls, state: dict) -> "GoldenChipFreeDetector":
         """Rebuild an inference-ready detector from :meth:`to_state` output."""
-        detector = cls(DetectorConfig(**state["config"]))
+        detector = cls(DetectorConfig(**drop_retired_keys(state["config"])))
         detector.boundaries = dict(state["boundaries"])
         detector.regressions_ = state.get("regressions")
         width = state.get("n_pcm_features")

@@ -16,7 +16,7 @@ staying clear of the Trojans.
 
 from __future__ import annotations
 
-import argparse
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -152,19 +152,10 @@ def run_figure4(
 
 
 def main(argv=None) -> int:
-    """CLI entry point: print the reproduced Figure 4 geometry."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=16, help="experiment seed")
-    parser.add_argument(
-        "--kde-samples", type=int, default=100_000, help="tail-enhanced set size (M')"
-    )
-    args = parser.parse_args(argv)
-    result = run_figure4(
-        platform=PlatformConfig(seed=args.seed),
-        detector_config=DetectorConfig(kde_samples=args.kde_samples),
-    )
-    print(result.format())
-    return 0
+    """Console entry point: ``repro.cli figure4`` with the same arguments."""
+    from repro.cli import main as cli_main
+
+    return cli_main(["figure4", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -77,17 +77,6 @@ class PlatformConfig:
         Fabrication lots the chips are spread over (paper: 1).
     seed:
         Master seed of the whole experiment.
-    n_jobs:
-        Worker processes for the Monte Carlo run and the DUTT measurement
-        sweep (clamped to the CPU count; negative = joblib convention).
-        Results are bit-identical for every value.
-    engine:
-        Population evaluation engine: ``"batched"`` (default) simulates and
-        measures whole populations as array programs; ``"loop"`` is the
-        device-at-a-time reference.  The two produce bit-identical data;
-        the engine still enters the cache keys so each engine's artifacts
-        stay independently addressable (a cached loop run can never mask a
-        batched-engine regression).
     """
 
     nm: int = 6
@@ -103,8 +92,6 @@ class PlatformConfig:
     pcm_suite_name: str = "paper"
     n_lots: int = 1
     seed: int = 16
-    n_jobs: int = 1
-    engine: str = "batched"
 
     def __post_init__(self):
         if self.nm < 1:
@@ -119,12 +106,6 @@ class PlatformConfig:
             raise ValueError(
                 f"pcm_suite_name must be 'paper', 'extended' or 'full', "
                 f"got {self.pcm_suite_name!r}"
-            )
-        if not isinstance(self.n_jobs, int) or isinstance(self.n_jobs, bool):
-            raise ValueError(f"n_jobs must be an integer, got {self.n_jobs!r}")
-        if self.engine not in ("batched", "loop"):
-            raise ValueError(
-                f"engine must be 'batched' or 'loop', got {self.engine!r}"
             )
 
 
@@ -195,7 +176,6 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
     off by default).  Every random stream below is an independent child of
     the master seed, so serving one half from cache leaves the other half's
     stream — and therefore its output — bit-identical to a cold run.
-    ``n_jobs`` never enters a cache key: results match for any worker count.
     """
     config = config or PlatformConfig()
 
@@ -206,8 +186,7 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
         return artifact_cache.stage_cached(name, parts, compute)
 
     with span("platform.generate_data", n_chips=config.n_chips,
-              n_monte_carlo=config.n_monte_carlo, seed=config.seed,
-              engine=config.engine):
+              n_monte_carlo=config.n_monte_carlo, seed=config.seed):
         rng_campaign, rng_mc, rng_foundry, rng_bench = spawn_children(config.seed, 4)
 
         suite_name = config.pcm_suite_name
@@ -224,7 +203,7 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
         # always built live (keeping rng_campaign consumption identical on
         # warm and cold paths).
         sim_campaign = FingerprintCampaign.random_stimuli(
-            nm=config.nm, seed=rng_campaign, noisy_bench=False, pcm_suite=pcm_suite
+            nm=config.nm, seed=rng_campaign, pcm_suite=pcm_suite
         )
 
         # ---- pre-manufacturing: Monte Carlo over the deck.  The simulator
@@ -235,8 +214,7 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
             engine = MonteCarloEngine(
                 deck, sim_campaign, numerical_noise=config.sim_noise
             )
-            mc = engine.run(config.n_monte_carlo, seed=rng_mc,
-                            n_jobs=config.n_jobs, engine=config.engine)
+            mc = engine.run(config.n_monte_carlo, seed=rng_mc)
             return {"pcms": mc.pcms, "fingerprints": mc.fingerprints}
 
         mc_data = stage(
@@ -247,7 +225,6 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
                 "sim_noise": config.sim_noise,
                 "pcm_suite": suite_name,
                 "seed": config.seed,
-                "engine": config.engine,
             },
             run_monte_carlo,
         )
@@ -267,10 +244,7 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
             devices = []
             for trojan, version in trojans:
                 devices.extend(
-                    bench.measure_population(
-                        dies, trojan=trojan, version=version,
-                        n_jobs=config.n_jobs, engine=config.engine,
-                    )
+                    bench.measure_population(dies, trojan=trojan, version=version)
                 )
             return {
                 "pcms": np.vstack([d.pcms for d in devices]),
@@ -292,7 +266,6 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
                 "pcm_suite": suite_name,
                 "n_lots": config.n_lots,
                 "seed": config.seed,
-                "engine": config.engine,
             },
             run_silicon,
         )

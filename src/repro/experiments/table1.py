@@ -1,12 +1,13 @@
 """Reproduction of Table 1: FP/FN of boundaries B1..B5 over 120 DUTTs.
 
-Run as a module (``python -m repro.experiments.table1``) or through the
-``repro-table1`` console script.
+Run through ``python -m repro.cli table1``; ``python -m
+repro.experiments.table1`` and the ``repro-table1`` console script are the
+same command.
 """
 
 from __future__ import annotations
 
-import argparse
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -86,22 +87,10 @@ def run_table1(
 
 
 def main(argv=None) -> int:
-    """CLI entry point: print the reproduced Table 1."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=16, help="experiment seed")
-    parser.add_argument("--chips", type=int, default=40, help="fabricated chips")
-    parser.add_argument(
-        "--kde-samples", type=int, default=100_000, help="tail-enhanced set size (M')"
-    )
-    args = parser.parse_args(argv)
-    result = run_table1(
-        platform=PlatformConfig(seed=args.seed, n_chips=args.chips),
-        detector_config=DetectorConfig(kde_samples=args.kde_samples),
-    )
-    print(result.format())
-    print()
-    print(f"matches paper shape: {result.matches_paper_shape()}")
-    return 0
+    """Console entry point: ``repro.cli table1`` with the same arguments."""
+    from repro.cli import main as cli_main
+
+    return cli_main(["table1", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Learning substrate: one-class SVM, MARS regression, linear baselines.
+"""Learning substrate: one-class SVM, MARS regression, elliptic envelope.
 
 The environment provides no scikit-learn, so the classifiers and regressors
 the paper names are implemented here from first principles:
@@ -7,15 +7,14 @@ the paper names are implemented here from first principles:
   maximal-violating-pair SMO on the dense Gram matrix;
 * :class:`MarsRegression` — Multivariate Adaptive Regression Splines
   (forward hinge-basis growth + GCV backward pruning), the model the paper
-  uses to map PCM measurements to side-channel fingerprints;
-* ordinary/ridge least squares as baselines and building blocks.
+  uses to map PCM measurements to side-channel fingerprints, and
+  :class:`LatentGainMars`, its rank-1 multi-output form;
+* :class:`EllipticEnvelope` — the Mahalanobis one-class baseline.
 """
 
 from repro.learn.elliptic import EllipticEnvelope
 from repro.learn.latent import LatentGainMars
-from repro.learn.linear import LinearRegression, RidgeRegression
 from repro.learn.mars import MarsRegression
-from repro.learn.model_selection import GridSearchResult, grid_search_regression, kfold_indices
 from repro.learn.ocsvm import OneClassSvm
 
 __all__ = [
@@ -23,9 +22,4 @@ __all__ = [
     "MarsRegression",
     "LatentGainMars",
     "EllipticEnvelope",
-    "LinearRegression",
-    "RidgeRegression",
-    "kfold_indices",
-    "grid_search_regression",
-    "GridSearchResult",
 ]

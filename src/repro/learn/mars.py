@@ -19,25 +19,20 @@ Hinge functions extrapolate linearly outside the training range — essential
 here, because the regression is applied to silicon PCM values that sit in
 the tail (or beyond) of the simulated training distribution.
 
-Candidate scoring in the forward pass has two interchangeable engines:
-
-* ``forward="lstsq"`` — the reference implementation: one full
-  ``np.linalg.lstsq`` per candidate knot (an SVD each — O(n m^2) with a
-  large constant);
-* ``forward="fast"`` (default) — incremental normal equations: the current
-  design's Gram matrix is eigendecomposed once per forward step (its range
-  space stands in for the rank-deficient design — revisiting a variable
-  makes the mirrored pair linearly dependent on the earlier one), every
-  candidate hinge pair's cross products are obtained from prefix/suffix
-  sums over knot-sorted data in O(n m) per (parent, variable), and each
-  knot is scored through a rank-adaptive 2x2 Schur complement.  The
-  mirrored hinges have disjoint supports, so their exact inner product is
-  zero by construction.
-  The winning candidate is re-scored with the reference ``lstsq`` before
-  acceptance, so the accepted SSE — and everything downstream of it —
-  matches the reference path bit-for-bit whenever both engines select the
-  same knot (they rank candidates identically up to last-ulp ties; see the
-  cross-engine reference tests).
+Candidates in the forward pass are scored through incremental normal
+equations rather than one least-squares solve each: the current design's
+Gram matrix is eigendecomposed once per forward step (its range space
+stands in for the rank-deficient design — revisiting a variable makes the
+mirrored pair linearly dependent on the earlier one), every candidate hinge
+pair's cross products are obtained from prefix/suffix sums over knot-sorted
+data in O(n m) per (parent, variable), and each knot is scored through a
+rank-adaptive 2x2 Schur complement.  The mirrored hinges have disjoint
+supports, so their exact inner product is zero by construction.  The
+winning candidate is re-scored with ``np.linalg.lstsq`` before acceptance,
+so the accepted SSE — and everything downstream of it — is bitwise what a
+search solving every candidate by ``lstsq`` accepts whenever both select
+the same knot (they rank candidates identically up to last-ulp ties; the
+test suite keeps that per-candidate search as its oracle).
 """
 
 from __future__ import annotations
@@ -51,9 +46,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.utils.validation import check_1d, check_2d, check_matching_rows
 
-FORWARD_MODES = ("fast", "lstsq")
-
-#: Relative rank cutoff of the fast engine: Gram eigenvalues and Schur
+#: Relative rank cutoff of the forward search: Gram eigenvalues and Schur
 #: complements below this fraction of their natural scale are treated as
 #: exact zeros (directions already inside the current column span).  Sits
 #: far above accumulated rounding (~1e-13) and far below any genuinely
@@ -124,15 +117,14 @@ class MarsRegression:
     n_knot_candidates:
         Number of candidate knots per variable (quantiles of the training
         data).
-    forward:
-        Candidate-scoring engine of the forward pass: ``"fast"``
-        (incremental normal equations, the default) or ``"lstsq"`` (the
-        per-candidate reference solver; kept for cross-checking).
     """
 
+    #: Constructor parameters earlier versions persisted that no longer
+    #: exist (the forward-pass engine switch); :meth:`from_state` drops them.
+    _RETIRED_PARAMS = frozenset({"forward"})
+
     def __init__(self, max_terms: int = 21, max_degree: int = 1,
-                 penalty: float = 3.0, n_knot_candidates: int = 20,
-                 forward: str = "fast"):
+                 penalty: float = 3.0, n_knot_candidates: int = 20):
         if max_terms < 1:
             raise ValueError(f"max_terms must be >= 1, got {max_terms}")
         if max_degree < 1:
@@ -141,13 +133,10 @@ class MarsRegression:
             raise ValueError(f"penalty must be non-negative, got {penalty}")
         if n_knot_candidates < 1:
             raise ValueError(f"n_knot_candidates must be >= 1, got {n_knot_candidates}")
-        if forward not in FORWARD_MODES:
-            raise ValueError(f"forward must be one of {FORWARD_MODES}, got {forward!r}")
         self.max_terms = int(max_terms)
         self.max_degree = int(max_degree)
         self.penalty = float(penalty)
         self.n_knot_candidates = int(n_knot_candidates)
-        self.forward = str(forward)
         self.basis_: Optional[List[BasisFunction]] = None
         self.coef_: Optional[np.ndarray] = None
         self.gcv_: Optional[float] = None
@@ -163,7 +152,7 @@ class MarsRegression:
         check_matching_rows(x, y[:, None], "x", "y")
         n, d = x.shape
 
-        with span("mars.fit", n=n, d=d, forward=self.forward) as fit_span:
+        with span("mars.fit", n=n, d=d) as fit_span:
             basis, design, _ = self._forward_pass(x, y)
 
             # ---------------- backward pass ----------------
@@ -218,47 +207,10 @@ class MarsRegression:
         return coef, float(residual @ residual)
 
     def _best_forward_pair(self, x, y, basis, design, knots, current_sse,
-                           orders=None):
-        """Search (parent basis, variable, knot) for the best hinge pair."""
-        if self.forward == "fast":
-            if orders is None:
-                orders = [np.argsort(x[:, v], kind="stable")
-                          for v in range(x.shape[1])]
-            return self._best_forward_pair_fast(x, y, basis, design, knots,
-                                                current_sse, orders)
-        return self._best_forward_pair_lstsq(x, y, basis, design, knots,
-                                             current_sse)
+                           orders):
+        """Best (parent basis, variable, knot) hinge pair, or ``None``.
 
-    def _best_forward_pair_lstsq(self, x, y, basis, design, knots, current_sse):
-        """Reference engine: one full least-squares solve per candidate."""
-        best = None
-        best_sse = current_sse - 1e-12 * max(1.0, abs(current_sse))
-        for parent_idx, parent in enumerate(basis):
-            if parent.degree() + 1 > self.max_degree:
-                continue
-            parent_column = design[:, parent_idx]
-            for v in range(x.shape[1]):
-                if parent.uses_variable(v):
-                    continue
-                for t in knots[v]:
-                    up = np.maximum(0.0, x[:, v] - t) * parent_column
-                    down = np.maximum(0.0, t - x[:, v]) * parent_column
-                    if not up.any() or not down.any():
-                        continue
-                    candidate = np.hstack([design, up[:, None], down[:, None]])
-                    _, sse = self._fit_sse(candidate, y)
-                    if sse < best_sse:
-                        best_sse = sse
-                        pair = (
-                            BasisFunction(parent.terms + (HingeTerm(v, float(t), +1),)),
-                            BasisFunction(parent.terms + (HingeTerm(v, float(t), -1),)),
-                        )
-                        best = (pair, np.column_stack([up, down]), sse)
-        return best
-
-    def _best_forward_pair_fast(self, x, y, basis, design, knots, current_sse,
-                                orders):
-        """Fast engine: one Gram eigendecomposition + per-knot Schur scores.
+        One Gram eigendecomposition per call, then per-knot Schur scores.
 
         For a fixed (parent ``z``, variable ``v``), every candidate knot's
         cross products with the design, the target and itself are affine in
@@ -272,16 +224,15 @@ class MarsRegression:
         threshold = current_sse - 1e-12 * max(1.0, abs(current_sse))
         # The design is rank-deficient by construction once a variable is
         # revisited: for mirrored pairs ``u_t - d_t = z * (x_v - t)``, which
-        # an earlier pair on the same (parent, variable) already spans.  The
-        # reference engine's lstsq absorbs that through SVD truncation; here
-        # the Gram matrix is eigendecomposed once per forward step and the
+        # an earlier pair on the same (parent, variable) already spans.  A
+        # per-candidate lstsq absorbs that through SVD truncation; here the
+        # Gram matrix is eigendecomposed once per forward step and the
         # projection uses its numerical range space (a pseudo-inverse).
+        # Column 0 is the constant basis, so the top eigenvalue is positive
+        # and ``keep`` is never empty.
         eigvals, eigvecs = np.linalg.eigh(design.T @ design)
         top = max(float(eigvals[-1]), 0.0)
         keep = eigvals > _SCHUR_RTOL * max(top, 1e-300)
-        if not keep.any():
-            return self._best_forward_pair_lstsq(x, y, basis, design, knots,
-                                                 current_sse)
         whiten = eigvecs[:, keep] / np.sqrt(eigvals[keep])  # (m, r)
         p = whiten.T @ (design.T @ y)
         q0 = float(y @ y) - float(p @ p)
@@ -381,9 +332,9 @@ class MarsRegression:
         up = np.maximum(0.0, x[:, v] - t) * z
         down = np.maximum(0.0, t - x[:, v]) * z
         candidate = np.hstack([design, up[:, None], down[:, None]])
-        # Re-score the winner with the reference solver: the accepted SSE
-        # (and every quantity derived from it) is then identical to the
-        # reference engine's, not merely close.
+        # Re-score the winner with lstsq: the accepted SSE (and every
+        # quantity derived from it) is then identical to a per-candidate
+        # lstsq search's, not merely close.
         _, sse = self._fit_sse(candidate, y)
         if sse >= threshold:
             return None
@@ -451,7 +402,6 @@ class MarsRegression:
                 "max_degree": self.max_degree,
                 "penalty": self.penalty,
                 "n_knot_candidates": self.n_knot_candidates,
-                "forward": self.forward,
             },
             "basis": [
                 [(term.variable, term.knot, term.sign) for term in b.terms]
@@ -464,7 +414,9 @@ class MarsRegression:
     @classmethod
     def from_state(cls, state: dict) -> "MarsRegression":
         """Rebuild a fitted model from :meth:`to_state` output."""
-        model = cls(**state["params"])
+        params = {key: value for key, value in state["params"].items()
+                  if key not in cls._RETIRED_PARAMS}
+        model = cls(**params)
         model.basis_ = [
             BasisFunction(tuple(
                 HingeTerm(int(v), float(knot), int(sign))

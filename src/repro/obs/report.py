@@ -2,8 +2,8 @@
 
 Renders the stage-time breakdown of a recorded run as an indented tree.
 Sibling spans with the same name are aggregated into one line (``x N``) —
-a 100-device Monte Carlo run reads as one ``mc.device`` row, not a hundred
-— and each line shows summed wall time, the share of the run, summed CPU
+the five boundary fits read as one ``boundary.fit`` row, not five — and
+each line shows summed wall time, the share of the run, summed CPU
 time and the number of distinct worker processes involved.  The metric
 snapshot follows as counter/gauge/histogram tables.
 

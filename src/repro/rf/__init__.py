@@ -9,7 +9,6 @@ block transmissions, observed through a band-limited receiver.
 from repro.rf.channel import AwgnChannel
 from repro.rf.pulse import GaussianMonocycle, PulseTrain
 from repro.rf.receiver import BandPassReceiver
-from repro.rf.spectrum import occupied_bandwidth_ghz, pulse_spectrum, spectral_peak_ghz
 from repro.rf.uwb import UwbTransmitter
 
 __all__ = [
@@ -18,7 +17,4 @@ __all__ = [
     "UwbTransmitter",
     "AwgnChannel",
     "BandPassReceiver",
-    "pulse_spectrum",
-    "spectral_peak_ghz",
-    "occupied_bandwidth_ghz",
 ]

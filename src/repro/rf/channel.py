@@ -1,55 +1,38 @@
 """The public wireless channel between the chip and the measurement bench.
 
-The channel applies a (calibrated, hence near-unity) path gain plus small
-per-pulse multiplicative fading.  Trojan leakage in the paper travels over
-exactly this channel: an attacker who knows what to listen for recovers the
-key from pulse amplitudes/frequencies, while a legitimate receiver sees a
-fully functional transmission.
+The channel applies a (calibrated, hence near-unity) path gain.  Trojan
+leakage in the paper travels over exactly this channel: an attacker who
+knows what to listen for recovers the key from pulse amplitudes/frequencies,
+while a legitimate receiver sees a fully functional transmission.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.rf.pulse import PulseTrain
-from repro.utils.rng import SeedLike, as_generator
 
 
 @dataclass
 class AwgnChannel:
-    """Multiplicative-gain channel with per-pulse amplitude jitter.
+    """Fixed multiplicative-gain channel.
 
     Parameters
     ----------
     path_gain:
-        Mean amplitude gain from antenna to bench (1.0 = calibrated out).
-    fading_sigma:
-        Relative standard deviation of per-pulse amplitude fading.
-    seed:
-        Seed or generator for the fading process.
+        Amplitude gain from antenna to bench (1.0 = calibrated out).
     """
 
     path_gain: float = 1.0
-    fading_sigma: float = 0.0
-    seed: SeedLike = None
 
     def __post_init__(self):
         if self.path_gain <= 0:
             raise ValueError(f"path_gain must be positive, got {self.path_gain}")
-        if self.fading_sigma < 0:
-            raise ValueError(f"fading_sigma must be non-negative, got {self.fading_sigma}")
-        self._rng = as_generator(self.seed)
 
     def propagate(self, train: PulseTrain) -> PulseTrain:
         """Return the pulse train as observed at the receiving antenna."""
-        gains = np.full(len(train), self.path_gain)
-        if self.fading_sigma > 0:
-            gains = gains * (1.0 + self.fading_sigma * self._rng.standard_normal(len(train)))
-            gains = np.clip(gains, 0.0, None)
         return PulseTrain(
             bit_indices=train.bit_indices.copy(),
-            amplitudes=train.amplitudes * gains,
+            amplitudes=train.amplitudes * self.path_gain,
             center_frequencies_ghz=train.center_frequencies_ghz.copy(),
         )

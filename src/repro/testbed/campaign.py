@@ -15,7 +15,6 @@ measured under identical stimuli.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -33,13 +32,7 @@ from repro.silicon.instruments import DelayAnalyzer, Instrument, PowerMeter
 from repro.silicon.pcm import PCMSuite
 from repro.testbed.chip import WirelessCryptoChip
 from repro.trojans.base import TrojanModel
-from repro.utils.parallel import parallel_map
 from repro.utils.rng import SeedLike, as_generator
-
-#: Valid values for the ``engine`` argument of :meth:`measure_population`.
-ENGINES = ("batched", "loop")
-
-_log = logging.getLogger("repro.campaign")
 
 
 @dataclass
@@ -74,11 +67,11 @@ class FingerprintCampaign:
         Bench instruments (``None`` = noise-free readings, as in Spice).
     instrument_root:
         Master :class:`~numpy.random.SeedSequence` for *per-device* instrument
-        streams.  When set, :meth:`measure_population` spawns one child seed
-        per device and measures it with freshly seeded instruments, so the
-        noise a device sees does not depend on measurement order or worker
-        count.  ``None`` keeps the legacy behaviour: all devices share the
-        campaign instruments' stateful streams (serial only).
+        streams: :meth:`measure_population` spawns one child seed per device
+        and draws that device's instrument noise from it, so the noise a
+        device sees does not depend on measurement order.  Required by
+        :meth:`measure_population` whenever instruments are attached;
+        :meth:`silicon_bench` sets it.
     """
 
     key: bytes
@@ -104,32 +97,24 @@ class FingerprintCampaign:
         cls,
         nm: int = 6,
         seed: SeedLike = None,
-        noisy_bench: bool = True,
         pcm_suite: Optional[PCMSuite] = None,
         receiver: Optional[BandPassReceiver] = None,
     ) -> "FingerprintCampaign":
-        """Draw the frozen key and ``nm`` plaintext blocks, build the bench.
+        """Draw the frozen key and ``nm`` plaintext blocks.
 
-        With ``noisy_bench=True`` the campaign models a physical bench
-        (instrument noise); with ``False`` it models Spice measurements.
+        The returned campaign is noise-free (it models Spice measurements);
+        :meth:`silicon_bench` derives the noisy physical bench from it.
         """
         if nm <= 0:
             raise ValueError(f"nm must be positive, got {nm}")
         rng = as_generator(seed)
         key = random_key(rng)
         plaintexts = [random_block(rng) for _ in range(nm)]
-        kwargs = {}
-        if noisy_bench:
-            kwargs = {
-                "power_meter": PowerMeter(seed=rng),
-                "delay_analyzer": DelayAnalyzer(seed=rng),
-            }
         return cls(
             key=key,
             plaintexts=plaintexts,
             pcm_suite=pcm_suite or PCMSuite.paper_default(),
             receiver=receiver or BandPassReceiver(),
-            **kwargs,
         )
 
     @property
@@ -221,95 +206,46 @@ class FingerprintCampaign:
         dies,
         trojan: Optional[TrojanModel] = None,
         version: str = "TF",
-        n_jobs: int = 1,
-        engine: str = "batched",
     ) -> List[MeasuredDevice]:
         """Measure one design version across a die population.
 
-        ``engine="batched"`` (the default) evaluates the whole population as
-        array programs — one AES encryption per plaintext, vectorized analog
-        models, batched instrument noise — and produces *bit-identical*
-        results to ``engine="loop"``, which measures one die at a time.
-        Configurations the batched engine cannot reproduce exactly (a fading
-        channel's stateful per-pulse stream, legacy shared-stream
-        instruments) silently fall back to the loop.
+        The whole population is evaluated as array programs — one AES
+        encryption per plaintext, vectorized analog models, batched
+        instrument noise — and device ``i`` is bitwise what
+        :meth:`measure_device` reads on die ``i``.
 
-        With ``instrument_root`` set (see :meth:`silicon_bench`), each device
-        is measured with instruments seeded from its own spawned stream —
-        bit-identical for any ``n_jobs`` and either engine.  A noise-free
-        campaign is deterministic per die and parallelizes directly.  A
-        legacy bench whose instruments share one stateful stream is
-        order-dependent and always measured serially.
+        A bench with instruments draws each device's noise from its own
+        stream spawned off ``instrument_root`` (see :meth:`silicon_bench`);
+        the spawn is stateful, so consecutive populations (a TF, T1, T2
+        sweep) get fresh, non-overlapping per-device seeds in call order.
+        A bench with instruments but no ``instrument_root`` is rejected.
         """
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         dies = list(dies)
-        with span("campaign.measure_population", version=version,
-                  n=len(dies), n_jobs=n_jobs, engine=engine):
-            if engine == "batched" and dies:
-                reason = self._batch_unsupported_reason()
-                if reason is None:
-                    return self._measure_population_batched(dies, trojan, version)
-                _log.info("batched engine unavailable (%s); falling back to loop",
-                          reason)
-            if self.instrument_root is not None:
-                # Stateful spawn: consecutive populations (TF, T1, T2 sweeps)
-                # get fresh, non-overlapping per-device seeds in call order.
-                seeds = self.instrument_root.spawn(len(dies))
-                return parallel_map(
-                    _measure_seeded_item,
-                    list(zip(dies, seeds)),
-                    n_jobs=n_jobs,
-                    initializer=_init_measure_worker,
-                    initargs=(self, trojan, version),
-                )
-            if self.power_meter is None and self.delay_analyzer is None:
-                return parallel_map(
-                    _measure_noise_free_item,
-                    dies,
-                    n_jobs=n_jobs,
-                    initializer=_init_measure_worker,
-                    initargs=(self, trojan, version),
-                )
-            return [
-                self.measure_device(die, trojan=trojan, version=version)
-                for die in dies
-            ]
-
-    # ------------------------------------------------------------------
-    # batched engine
-    # ------------------------------------------------------------------
-
-    def _batch_unsupported_reason(self) -> Optional[str]:
-        """Why this campaign cannot be measured batched (``None`` = it can)."""
-        if self.channel is not None and self.channel.fading_sigma > 0:
-            return "channel fading consumes a stateful per-pulse random stream"
-        if (self.power_meter is not None or self.delay_analyzer is not None) \
-                and self.instrument_root is None:
-            return "legacy shared-stream instruments are measurement-order dependent"
-        return None
-
-    def _measure_population_batched(self, dies, trojan, version) -> List[MeasuredDevice]:
-        population = DiePopulation.from_dies(dies)
-        seeds = None
-        if self.instrument_root is not None:
-            # Same stateful spawn as the loop path, so TF/T1/T2 sweeps see
-            # the same per-device seeds regardless of engine.
-            seeds = self.instrument_root.spawn(len(dies))
-        pcms, fingerprints = self.measure_population_arrays(
-            population, trojan=trojan, version=version, instrument_seeds=seeds
-        )
-        devices = [
-            MeasuredDevice(
-                label=f"{population.label(i)}/{version}",
-                pcms=pcms[i].copy(),
-                fingerprint=fingerprints[i].copy(),
-                infested=trojan is not None,
-                trojan_name=trojan.name if trojan is not None else "none",
+        has_instruments = (self.power_meter is not None
+                           or self.delay_analyzer is not None)
+        if has_instruments and self.instrument_root is None:
+            raise ValueError(
+                "measure_population needs per-device instrument streams: "
+                "build noisy benches with silicon_bench()"
             )
-            for i in range(len(dies))
-        ]
-        return devices
+        with span("campaign.measure_population", version=version, n=len(dies)):
+            if not dies:
+                return []
+            population = DiePopulation.from_dies(dies)
+            seeds = self.instrument_root.spawn(len(dies)) if has_instruments else None
+            pcms, fingerprints = self.measure_population_arrays(
+                population, trojan=trojan, version=version, instrument_seeds=seeds
+            )
+            return [
+                MeasuredDevice(
+                    label=f"{population.label(i)}/{version}",
+                    pcms=pcms[i].copy(),
+                    fingerprint=fingerprints[i].copy(),
+                    infested=trojan is not None,
+                    trojan_name=trojan.name if trojan is not None else "none",
+                )
+                for i in range(len(dies))
+            ]
 
     def measure_population_arrays(
         self,
@@ -394,8 +330,6 @@ class FingerprintCampaign:
                     emitted, key_bits[emitted], amps, freqs
                 )
             if self.channel is not None:
-                # Only the fading-free channel reaches here (see
-                # _batch_unsupported_reason); its gain vector is a constant.
                 amps = amps * self.channel.path_gain
             powers[:, j] = self.receiver.block_powers(amps, freqs)
         return powers
@@ -411,49 +345,3 @@ def _apply_instrument_noise(true_values: np.ndarray, z: np.ndarray,
     gains = 1.0 + instrument.gain_sigma * z[:, 0::2]
     return true_values * gains + instrument.offset_sigma * z[:, 1::2]
 
-
-#: Per-worker measurement state installed by :func:`_init_measure_worker`;
-#: ships the campaign once per worker process instead of once per item.
-_WORKER_STATE: dict = {}
-
-
-def _init_measure_worker(campaign: FingerprintCampaign, trojan, version) -> None:
-    """Process-pool initializer: stash the shared measurement context."""
-    _WORKER_STATE["campaign"] = campaign
-    _WORKER_STATE["trojan"] = trojan
-    _WORKER_STATE["version"] = version
-
-
-def _measure_noise_free_item(die) -> MeasuredDevice:
-    """Measure one die on an instrument-free campaign (picklable worker)."""
-    campaign = _WORKER_STATE["campaign"]
-    return campaign.measure_device(
-        die, trojan=_WORKER_STATE["trojan"], version=_WORKER_STATE["version"]
-    )
-
-
-def _measure_seeded_item(item) -> MeasuredDevice:
-    """Measure one die with per-device instrument streams (picklable worker)."""
-    die, seed = item
-    campaign = _WORKER_STATE["campaign"]
-    power_seq, delay_seq = seed.spawn(2)
-    local = FingerprintCampaign(
-        key=campaign.key,
-        plaintexts=list(campaign.plaintexts),
-        pcm_suite=campaign.pcm_suite,
-        receiver=campaign.receiver,
-        channel=campaign.channel,
-        power_meter=(
-            PowerMeter(seed=power_seq, gain_sigma=campaign.power_meter.gain_sigma)
-            if campaign.power_meter is not None
-            else None
-        ),
-        delay_analyzer=(
-            DelayAnalyzer(seed=delay_seq, gain_sigma=campaign.delay_analyzer.gain_sigma)
-            if campaign.delay_analyzer is not None
-            else None
-        ),
-    )
-    return local.measure_device(
-        die, trojan=_WORKER_STATE["trojan"], version=_WORKER_STATE["version"]
-    )

@@ -1,9 +1,12 @@
 """Deterministic process-parallel execution with ordered gather.
 
-The simulation stages (Monte Carlo device synthesis, the fabricated-lot
-measurement sweep) are embarrassingly parallel over devices, but naive
-parallelism breaks bit-reproducibility: a shared random stream consumed in
-completion order yields different data on every run.  The contract here is
+The detector's five boundary fits (B1..B5, :mod:`repro.core.pipeline`) are
+independent of each other and run through this pool when
+``DetectorConfig.n_jobs`` asks for workers; simulation is one serial array
+program and never uses it.
+Naive parallelism breaks bit-reproducibility: a shared random stream
+consumed in completion order yields different results on every run.  The
+contract here is
 
 * callers pre-assign every work item its own random stream
   (``SeedSequence.spawn``), so results do not depend on scheduling;
@@ -30,7 +33,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional
 
 from repro.obs.trace import unwrap_pool_results, wrap_pool_task
 
@@ -62,8 +65,6 @@ def parallel_map(
     items: Iterable,
     n_jobs: Optional[int] = 1,
     cpu_count: Optional[int] = None,
-    initializer: Optional[Callable] = None,
-    initargs: Sequence = (),
 ) -> List:
     """Apply ``fn`` to every item, optionally across a process pool.
 
@@ -72,16 +73,9 @@ def parallel_map(
     ``n_jobs`` value.  ``fn`` and the items must be picklable when a pool is
     used; if the pool cannot be built or breaks, the remaining work runs
     serially in-process.
-
-    ``initializer(*initargs)`` runs once per worker process before any item
-    (and once in-process on the serial path), letting callers ship large
-    shared state — a campaign object, a model — per *worker* instead of
-    re-pickling it with every item.
     """
 
     def _serial() -> List:
-        if initializer is not None:
-            initializer(*initargs)
         return [fn(item) for item in items]
 
     items = list(items)
@@ -97,7 +91,7 @@ def parallel_map(
         # Closures and lambdas are not picklable; pickle signals this with
         # a mix of PicklingError / AttributeError / TypeError depending on
         # the payload, so probe once up front instead of enumerating them.
-        pickle.dumps((fn, initializer, tuple(initargs)))
+        pickle.dumps(fn)
     except Exception:
         _log.warning("payload %r is not picklable; running %d items serially",
                      getattr(fn, "__name__", fn), len(items))
@@ -111,8 +105,7 @@ def parallel_map(
     _log.info("starting process pool: %d workers, %d items, chunksize %d",
               workers, len(items), chunksize)
     try:
-        with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
-                                 initargs=tuple(initargs)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, items, chunksize=chunksize))
         _log.info("process pool finished: %d results", len(results))
         return unwrap_pool_results(results)

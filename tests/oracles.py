@@ -1,0 +1,123 @@
+"""Reference implementations the production engines are tested against.
+
+The library has one production path per stage: the population engine
+measures and simulates whole device populations as array programs, and the
+MARS forward pass scores every candidate knot through incremental normal
+equations.  Both are exact — bitwise what the obvious, slow formulation
+computes — and the oracles here *are* that formulation:
+
+* :func:`measure_population_loop` measures one die at a time through the
+  scalar chain :meth:`FingerprintCampaign.measure_device`, with per-device
+  instruments built from each device's spawned ``(power, delay)`` streams;
+* :func:`monte_carlo_loop` draws every :class:`SimulatedDie` with
+  :meth:`SpiceDeck.sample_die` from its own spawned stream, measures it the
+  same way, then applies the numerical noise;
+* :class:`LstsqForwardMars` solves every forward-pass candidate with a full
+  ``np.linalg.lstsq``.
+
+The loop oracles mirror the production signatures, so a test can
+monkeypatch them over ``FingerprintCampaign.measure_population`` and
+``MonteCarloEngine.run`` and rerun a whole experiment through them.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+
+from repro.circuits.montecarlo import MonteCarloResult, SimulatedDie
+from repro.learn.mars import BasisFunction, HingeTerm, MarsRegression
+from repro.silicon.instruments import DelayAnalyzer, PowerMeter
+from repro.utils.rng import spawn_seed_sequences
+
+
+def measure_population_loop(campaign, dies, trojan=None, version="TF"):
+    """``campaign.measure_population`` computed one die at a time."""
+    dies = list(dies)
+    if campaign.power_meter is None and campaign.delay_analyzer is None:
+        return [campaign.measure_device(die, trojan=trojan, version=version)
+                for die in dies]
+    if campaign.instrument_root is None:
+        raise ValueError("a bench with instruments needs an instrument_root")
+    devices = []
+    for die, seed in zip(dies, campaign.instrument_root.spawn(len(dies))):
+        power_seq, delay_seq = seed.spawn(2)
+        local = dataclasses.replace(
+            campaign,
+            power_meter=(
+                PowerMeter(seed=power_seq, gain_sigma=campaign.power_meter.gain_sigma)
+                if campaign.power_meter is not None
+                else None
+            ),
+            delay_analyzer=(
+                DelayAnalyzer(seed=delay_seq,
+                              gain_sigma=campaign.delay_analyzer.gain_sigma)
+                if campaign.delay_analyzer is not None
+                else None
+            ),
+            instrument_root=None,
+        )
+        devices.append(local.measure_device(die, trojan=trojan, version=version))
+    return devices
+
+
+def monte_carlo_loop(engine, n, seed=None):
+    """``engine.run(n, seed)`` computed one simulated die at a time."""
+    if n <= 0:
+        raise ValueError(f"n must be positive, got {n}")
+    device_root, noise_root = spawn_seed_sequences(seed, 2)
+    pcms, fingerprints = [], []
+    for index, device_seed in enumerate(device_root.spawn(n)):
+        rng = np.random.default_rng(device_seed)
+        die = SimulatedDie(
+            index=index,
+            die_params=engine.deck.sample_die(rng),
+            deck=engine.deck,
+            mismatch_seed=int(rng.integers(0, 2**63 - 1)),
+        )
+        device = engine.campaign.measure_device(die)
+        pcms.append(device.pcms)
+        fingerprints.append(device.fingerprint)
+    pcms = np.stack(pcms)
+    fingerprints = np.stack(fingerprints)
+    if engine.numerical_noise > 0:
+        noise_rng = np.random.default_rng(noise_root)
+        pcms = pcms * (
+            1.0 + engine.numerical_noise * noise_rng.standard_normal(pcms.shape)
+        )
+        fingerprints = fingerprints * (
+            1.0 + engine.numerical_noise * noise_rng.standard_normal(fingerprints.shape)
+        )
+    return MonteCarloResult(pcms=pcms, fingerprints=fingerprints)
+
+
+class LstsqForwardMars(MarsRegression):
+    """MARS whose forward pass solves one full ``lstsq`` per candidate."""
+
+    def _best_forward_pair(self, x, y, basis, design, knots, current_sse,
+                           orders):
+        best = None
+        best_sse = current_sse - 1e-12 * max(1.0, abs(current_sse))
+        for parent_idx, parent in enumerate(basis):
+            if parent.degree() + 1 > self.max_degree:
+                continue
+            parent_column = design[:, parent_idx]
+            for v in range(x.shape[1]):
+                if parent.uses_variable(v):
+                    continue
+                for t in knots[v]:
+                    up = np.maximum(0.0, x[:, v] - t) * parent_column
+                    down = np.maximum(0.0, t - x[:, v]) * parent_column
+                    if not up.any() or not down.any():
+                        continue
+                    candidate = np.hstack([design, up[:, None], down[:, None]])
+                    _, sse = self._fit_sse(candidate, y)
+                    if sse < best_sse:
+                        best_sse = sse
+                        pair = (
+                            BasisFunction(parent.terms + (HingeTerm(v, float(t), +1),)),
+                            BasisFunction(parent.terms + (HingeTerm(v, float(t), -1),)),
+                        )
+                        best = (pair, np.column_stack([up, down]), sse)
+        return best

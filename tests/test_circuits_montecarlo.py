@@ -15,7 +15,7 @@ def deck():
 
 @pytest.fixture()
 def sim_campaign():
-    return FingerprintCampaign.random_stimuli(nm=4, seed=0, noisy_bench=False)
+    return FingerprintCampaign.random_stimuli(nm=4, seed=0)
 
 
 class TestSpiceDeck:
@@ -52,7 +52,7 @@ class TestSimulatedDie:
 
 class TestEngine:
     def test_rejects_noisy_campaign(self, deck):
-        noisy = FingerprintCampaign.random_stimuli(nm=4, seed=0, noisy_bench=True)
+        noisy = FingerprintCampaign.random_stimuli(nm=4, seed=0).silicon_bench(seed=1)
         with pytest.raises(ValueError, match="noise-free"):
             MonteCarloEngine(deck, noisy)
 

@@ -1,5 +1,8 @@
 """Golden-chip reference detector and persistence helpers."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -73,4 +76,16 @@ class TestConfigIo:
         path = tmp_path / "config.json"
         path.write_text('{"kde_samples": 10, "flux_capacitor": true}')
         with pytest.raises(ValueError, match="unknown configuration keys"):
+            load_detector_config(path)
+
+    def test_retired_engine_key_dropped(self, tmp_path):
+        # Configs saved before the population-engine switch was retired
+        # carry "engine"; that key alone is dropped, others still fail.
+        config = DetectorConfig(kde_samples=1234, seed=99)
+        raw = {**dataclasses.asdict(config), "engine": "batched"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert load_detector_config(path) == config
+        path.write_text(json.dumps({**raw, "flux_capacitor": True}))
+        with pytest.raises(ValueError, match=r"\['flux_capacitor'\]"):
             load_detector_config(path)

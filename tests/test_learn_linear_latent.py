@@ -1,55 +1,14 @@
-"""Linear baselines, the latent-gain regressor and model selection."""
+"""The latent-gain regressor."""
 
 import numpy as np
 import pytest
 
 from repro.learn.latent import LatentGainMars
-from repro.learn.linear import LinearRegression, RidgeRegression
-from repro.learn.model_selection import grid_search_regression, kfold_indices
 
 
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
-
-
-class TestLinearRegression:
-    def test_exact_fit(self, rng):
-        x = rng.standard_normal((100, 2))
-        y = 2.0 * x[:, 0] - 3.0 * x[:, 1] + 5.0
-        model = LinearRegression().fit(x, y)
-        np.testing.assert_allclose(model.coef_, [2.0, -3.0], atol=1e-10)
-        assert model.intercept_ == pytest.approx(5.0)
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            LinearRegression().predict(np.zeros((1, 2)))
-
-
-class TestRidgeRegression:
-    def test_alpha_zero_matches_ols(self, rng):
-        x = rng.standard_normal((100, 2))
-        y = x[:, 0] + 0.1 * rng.standard_normal(100)
-        ols = LinearRegression().fit(x, y)
-        ridge = RidgeRegression(alpha=0.0).fit(x, y)
-        np.testing.assert_allclose(ridge.coef_, ols.coef_, atol=1e-8)
-
-    def test_regularization_shrinks_coefficients(self, rng):
-        x = rng.standard_normal((50, 2))
-        y = 5.0 * x[:, 0]
-        weak = RidgeRegression(alpha=0.01).fit(x, y)
-        strong = RidgeRegression(alpha=100.0).fit(x, y)
-        assert abs(strong.coef_[0]) < abs(weak.coef_[0])
-
-    def test_rejects_negative_alpha(self):
-        with pytest.raises(ValueError):
-            RidgeRegression(alpha=-1.0)
-
-    def test_intercept_not_penalized(self, rng):
-        x = rng.standard_normal((200, 1))
-        y = np.full(200, 10.0)
-        model = RidgeRegression(alpha=1000.0).fit(x, y)
-        assert model.predict(np.zeros((1, 1)))[0] == pytest.approx(10.0, abs=0.1)
 
 
 class TestLatentGainMars:
@@ -85,28 +44,3 @@ class TestLatentGainMars:
         with pytest.raises(RuntimeError):
             LatentGainMars().predict_gain(np.zeros((1, 1)))
 
-
-class TestModelSelection:
-    def test_kfold_partitions_everything(self):
-        splits = kfold_indices(20, 4, rng=0)
-        assert len(splits) == 4
-        all_test = np.concatenate([test for _, test in splits])
-        assert sorted(all_test.tolist()) == list(range(20))
-        for train, test in splits:
-            assert set(train) & set(test) == set()
-
-    def test_kfold_validation(self):
-        with pytest.raises(ValueError):
-            kfold_indices(1, 2)
-        with pytest.raises(ValueError):
-            kfold_indices(10, 11)
-
-    def test_grid_search_finds_better_alpha(self, rng):
-        x = rng.standard_normal((80, 5))
-        y = x[:, 0] + 0.05 * rng.standard_normal(80)
-        result = grid_search_regression(
-            RidgeRegression, {"alpha": [0.01, 1000.0]}, x, y, k=4, rng=0
-        )
-        assert result.best_params == {"alpha": 0.01}
-        assert len(result.all_scores) == 2
-        assert result.best_score <= min(score for _, score in result.all_scores)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.learn.mars import BasisFunction, HingeTerm, MarsRegression, MultiOutputMars
+from tests.oracles import LstsqForwardMars
 
 
 @pytest.fixture()
@@ -119,7 +120,7 @@ class TestMultiOutput:
 
 
 class TestForwardEngines:
-    """The fast forward pass must reproduce the reference lstsq engine."""
+    """The forward pass must reproduce the per-candidate lstsq oracle."""
 
     @staticmethod
     def _basis_signature(model):
@@ -128,18 +129,14 @@ class TestForwardEngines:
             for basis in model.basis_
         ]
 
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            MarsRegression(forward="newton")
-
     @pytest.mark.parametrize("seed", range(12))
     def test_bit_identical_selection_2d(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.uniform(-2, 2, size=(150, 2))
         y = (np.abs(x[:, 0]) + np.maximum(0, x[:, 1])
              + 0.05 * rng.standard_normal(150))
-        fast = MarsRegression(forward="fast").fit(x, y)
-        slow = MarsRegression(forward="lstsq").fit(x, y)
+        fast = MarsRegression().fit(x, y)
+        slow = LstsqForwardMars().fit(x, y)
         assert self._basis_signature(fast) == self._basis_signature(slow)
         np.testing.assert_array_equal(fast.coef_, slow.coef_)
         assert fast.gcv_ == slow.gcv_
@@ -151,8 +148,8 @@ class TestForwardEngines:
         rng = np.random.default_rng(100 + seed)
         x = rng.uniform(-1, 1, size=(120, 1))
         y = np.sin(3 * x[:, 0]) + 0.02 * rng.standard_normal(120)
-        fast = MarsRegression(max_terms=15, forward="fast").fit(x, y)
-        slow = MarsRegression(max_terms=15, forward="lstsq").fit(x, y)
+        fast = MarsRegression(max_terms=15).fit(x, y)
+        slow = LstsqForwardMars(max_terms=15).fit(x, y)
         assert self._basis_signature(fast) == self._basis_signature(slow)
         np.testing.assert_array_equal(fast.coef_, slow.coef_)
 
@@ -161,18 +158,18 @@ class TestForwardEngines:
         x = rng.uniform(-1, 1, size=(200, 3))
         y = (np.maximum(0, x[:, 0]) * np.maximum(0, x[:, 1]) + x[:, 2]
              + 0.05 * rng.standard_normal(200))
-        fast = MarsRegression(max_degree=2, forward="fast").fit(x, y)
-        slow = MarsRegression(max_degree=2, forward="lstsq").fit(x, y)
+        fast = MarsRegression(max_degree=2).fit(x, y)
+        slow = LstsqForwardMars(max_degree=2).fit(x, y)
         assert self._basis_signature(fast) == self._basis_signature(slow)
         np.testing.assert_array_equal(fast.coef_, slow.coef_)
 
     def test_duplicate_sample_values(self):
-        """Tied knot candidates must not split the two engines."""
+        """Tied knot candidates must not split the search from the oracle."""
         rng = np.random.default_rng(3)
         x = rng.integers(-3, 4, size=(120, 2)).astype(float)  # heavy ties
         y = np.abs(x[:, 0]) + 0.1 * rng.standard_normal(120)
-        fast = MarsRegression(forward="fast").fit(x, y)
-        slow = MarsRegression(forward="lstsq").fit(x, y)
+        fast = MarsRegression().fit(x, y)
+        slow = LstsqForwardMars().fit(x, y)
         assert self._basis_signature(fast) == self._basis_signature(slow)
         np.testing.assert_array_equal(fast.coef_, slow.coef_)
 
@@ -182,5 +179,18 @@ class TestForwardEngines:
         model = MarsRegression(max_terms=9).fit(x, y)
         clone = MarsRegression.from_state(model.to_state())
         np.testing.assert_array_equal(clone.predict(x), model.predict(x))
-        assert clone.forward == model.forward
         assert self._basis_signature(clone) == self._basis_signature(model)
+
+    def test_state_with_retired_forward_param_loads(self, rng):
+        # Models persisted before the forward-engine switch was retired
+        # carry ``"forward"`` in their params.
+        x = rng.uniform(-2, 2, size=(150, 2))
+        y = np.abs(x[:, 0]) - x[:, 1]
+        model = MarsRegression(max_terms=9).fit(x, y)
+        state = model.to_state()
+        state["params"]["forward"] = "fast"
+        clone = MarsRegression.from_state(state)
+        np.testing.assert_array_equal(clone.predict(x), model.predict(x))
+        state["params"]["knots"] = 3
+        with pytest.raises(TypeError):
+            MarsRegression.from_state(state)

@@ -1,9 +1,11 @@
-"""n_jobs invariance: parallel runs are bit-identical to serial runs.
+"""Determinism: worker counts, seed forms and tracing never move a bit.
 
 The parallelism contract (see ``repro.utils.parallel``) is that every work
 item owns a pre-spawned random stream, so the *number* of workers can never
-change a single bit of the output.  The CI box may have one CPU, so the
-tests force real process pools by patching ``os.cpu_count``.
+change a single bit of the output.  The only pool in the library runs the
+detector's boundary fits; the CI box may have one CPU, so the tests force
+real process pools by patching ``os.cpu_count``.  Simulation has no pool,
+but its seeding contract is checked here against the per-die oracle.
 """
 
 from unittest import mock
@@ -18,6 +20,7 @@ from repro.core.pipeline import GoldenChipFreeDetector
 from repro.experiments.platformcfg import generate_experiment_data
 from repro.testbed.campaign import FingerprintCampaign
 from tests.conftest import small_detector_config, small_platform
+from tests.oracles import monte_carlo_loop
 
 
 def _with_fake_cores(n):
@@ -26,56 +29,18 @@ def _with_fake_cores(n):
 
 @pytest.fixture(scope="module")
 def engine():
-    campaign = FingerprintCampaign.random_stimuli(nm=4, seed=0, noisy_bench=False)
+    campaign = FingerprintCampaign.random_stimuli(nm=4, seed=0)
     return MonteCarloEngine(default_spice_deck(), campaign, numerical_noise=0.0015)
 
 
 class TestMonteCarloBitIdentity:
-    # The pooled runs pin ``engine="loop"`` — only the loop engine
-    # dispatches per-device work items to a pool (the batched engine is one
-    # serial array program) — so each assertion covers pool-vs-serial *and*
-    # loop-vs-batched identity at once.
-
-    def test_pool_matches_serial(self, engine):
-        serial = engine.run(16, seed=123, n_jobs=1)
-        with _with_fake_cores(4):
-            pooled = engine.run(16, seed=123, n_jobs=4, engine="loop")
-        np.testing.assert_array_equal(pooled.pcms, serial.pcms)
-        np.testing.assert_array_equal(pooled.fingerprints, serial.fingerprints)
-
     def test_generator_seed_also_invariant(self, engine):
-        serial = engine.run(10, seed=np.random.default_rng(5), n_jobs=1)
-        with _with_fake_cores(4):
-            pooled = engine.run(10, seed=np.random.default_rng(5), n_jobs=4,
-                                engine="loop")
-        np.testing.assert_array_equal(pooled.fingerprints, serial.fingerprints)
-
-    def test_excess_workers_are_harmless(self, engine):
-        serial = engine.run(6, seed=1, n_jobs=1)
-        with _with_fake_cores(4):
-            pooled = engine.run(6, seed=1, n_jobs=-1, engine="loop")
-        np.testing.assert_array_equal(pooled.fingerprints, serial.fingerprints)
-
-
-class TestExperimentBitIdentity:
-    def test_full_synthetic_experiment(self):
-        # Covers both parallel stages at once: the Monte Carlo engine and
-        # the noisy-instrument silicon measurement sweep (TF + T1 + T2).
-        serial = generate_experiment_data(small_platform(n_chips=8, n_monte_carlo=20))
-        with _with_fake_cores(4):
-            # engine="loop" so the pools actually engage (the default
-            # batched engine runs serially); also cross-checks the engines.
-            pooled = generate_experiment_data(
-                small_platform(n_chips=8, n_monte_carlo=20, n_jobs=4, engine="loop")
-            )
-        np.testing.assert_array_equal(pooled.sim_pcms, serial.sim_pcms)
-        np.testing.assert_array_equal(pooled.sim_fingerprints, serial.sim_fingerprints)
-        np.testing.assert_array_equal(pooled.dutt_pcms, serial.dutt_pcms)
-        np.testing.assert_array_equal(
-            pooled.dutt_fingerprints, serial.dutt_fingerprints
-        )
-        np.testing.assert_array_equal(pooled.infested, serial.infested)
-        assert pooled.trojan_names == serial.trojan_names
+        # A Generator seed is turned into per-device streams exactly as the
+        # per-die oracle does it.
+        loop = monte_carlo_loop(engine, 10, seed=np.random.default_rng(5))
+        batched = engine.run(10, seed=np.random.default_rng(5))
+        np.testing.assert_array_equal(batched.pcms, loop.pcms)
+        np.testing.assert_array_equal(batched.fingerprints, loop.fingerprints)
 
 
 class TestDetectorBitIdentity:
@@ -133,15 +98,25 @@ class TestTracingBitIdentity:
             traced.dutt_fingerprints, plain.dutt_fingerprints
         )
 
-    def test_traced_pool_matches_untraced_serial(self, engine):
-        plain = engine.run(12, seed=77, n_jobs=1)
+    def test_traced_pool_matches_untraced_serial(self, experiment_data):
+        plain = GoldenChipFreeDetector(small_detector_config())
+        plain.fit_premanufacturing(
+            experiment_data.sim_pcms, experiment_data.sim_fingerprints
+        )
+        plain.fit_silicon(experiment_data.dutt_pcms)
         obs.enable()
+        traced = GoldenChipFreeDetector(small_detector_config(n_jobs=4))
         with _with_fake_cores(4):
-            traced = engine.run(12, seed=77, n_jobs=4, engine="loop")
+            traced.fit_premanufacturing(
+                experiment_data.sim_pcms, experiment_data.sim_fingerprints
+            )
+            traced.fit_silicon(experiment_data.dutt_pcms)
         spans, _ = obs.disable()
         assert any(s.worker is not None for s in spans), "pool did not engage"
-        np.testing.assert_array_equal(traced.pcms, plain.pcms)
-        np.testing.assert_array_equal(traced.fingerprints, plain.fingerprints)
+        fingerprints = experiment_data.dutt_fingerprints
+        traced_scores = traced.decision_scores_batch(fingerprints)
+        for name, scores in plain.decision_scores_batch(fingerprints).items():
+            np.testing.assert_array_equal(traced_scores[name], scores)
 
     def test_traced_detector_matches_untraced(self, experiment_data):
         def fit_and_evaluate():

@@ -1,13 +1,14 @@
-"""Batched population engine: bit-identity against the loop reference.
+"""Population engine: bit-identity against the per-die loop oracle.
 
-The tentpole contract of the population engine is *exactness*: for every
-campaign configuration it supports, ``engine="batched"`` must reproduce the
-``engine="loop"`` measurements bit for bit — same AES ciphertexts, same
-mismatch draws, same analog model floats, same instrument-noise streams.
-These tests pin that contract across all three design versions (TF + both
-Trojans), noise-free and noisy benches, the Monte Carlo engine, and the
-full synthetic experiment, plus a property test of the vectorized AES
-against the scalar FIPS-197 reference.
+The contract of the population engine is *exactness*: for every campaign
+configuration, ``measure_population`` and ``MonteCarloEngine.run`` must
+reproduce the scalar chain of :mod:`tests.oracles` bit for bit — same AES
+ciphertexts, same mismatch draws, same analog model floats, same
+instrument-noise streams.  These tests pin that contract across all three
+design versions (TF + both Trojans), noise-free and noisy benches, a
+fixed-gain channel, the Monte Carlo engine, and the full synthetic
+experiment, plus a property test of the vectorized AES against the scalar
+FIPS-197 reference.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import cache as artifact_cache
 from repro.circuits.montecarlo import MonteCarloEngine, sample_device_population
 from repro.circuits.spicemodel import default_spice_deck
 from repro.crypto.aes import AES128, aes128_encrypt_blocks
@@ -32,10 +34,12 @@ from repro.process.parameters import (
 from repro.process.population import DiePopulation
 from repro.rf.channel import AwgnChannel
 from repro.silicon.foundry import Foundry
+from repro.silicon.instruments import DelayAnalyzer, PowerMeter
 from repro.testbed.campaign import FingerprintCampaign
 from repro.trojans.amplitude import AmplitudeModulationTrojan
 from repro.trojans.frequency import FrequencyModulationTrojan
 from tests.conftest import small_platform
+from tests.oracles import measure_population_loop, monte_carlo_loop
 
 VERSION_SWEEP = [
     (None, "TF"),
@@ -71,141 +75,97 @@ def fabricated_dies():
 
 
 class TestCampaignEngineBitIdentity:
-    """measure_population: batched == loop, per version, per bench."""
+    """measure_population == the per-die loop, per version, per bench."""
 
     @pytest.mark.parametrize("trojan,version", VERSION_SWEEP,
                              ids=[v for _, v in VERSION_SWEEP])
     def test_noise_free_bench(self, fabricated_dies, trojan, version):
-        campaign = FingerprintCampaign.random_stimuli(
-            nm=6, seed=11, noisy_bench=False
-        )
-        loop = campaign.measure_population(
-            fabricated_dies, trojan=trojan, version=version, engine="loop"
+        campaign = FingerprintCampaign.random_stimuli(nm=6, seed=11)
+        loop = measure_population_loop(
+            campaign, fabricated_dies, trojan=trojan, version=version
         )
         batched = campaign.measure_population(
-            fabricated_dies, trojan=trojan, version=version, engine="batched"
+            fabricated_dies, trojan=trojan, version=version
         )
         _assert_device_lists_equal(batched, loop)
 
     def test_noisy_bench_full_sweep(self, fabricated_dies):
         # instrument_root.spawn is stateful (each population consumes fresh
         # per-device seeds in call order), so compare two identically seeded
-        # benches each running the whole TF+T1+T2 sweep with one engine.
-        base = FingerprintCampaign.random_stimuli(nm=6, seed=11, noisy_bench=False)
-        sweeps = {}
-        for engine in ("loop", "batched"):
-            bench = base.silicon_bench(seed=99)
-            devices = []
-            for trojan, version in VERSION_SWEEP:
-                devices.extend(
-                    bench.measure_population(
-                        fabricated_dies, trojan=trojan, version=version,
-                        engine=engine,
-                    )
-                )
-            sweeps[engine] = devices
-        _assert_device_lists_equal(sweeps["batched"], sweeps["loop"])
+        # benches each running the whole TF+T1+T2 sweep.
+        base = FingerprintCampaign.random_stimuli(nm=6, seed=11)
+        loop_bench = base.silicon_bench(seed=99)
+        batched_bench = base.silicon_bench(seed=99)
+        loop, batched = [], []
+        for trojan, version in VERSION_SWEEP:
+            loop.extend(measure_population_loop(
+                loop_bench, fabricated_dies, trojan=trojan, version=version
+            ))
+            batched.extend(batched_bench.measure_population(
+                fabricated_dies, trojan=trojan, version=version
+            ))
+        _assert_device_lists_equal(batched, loop)
 
     def test_noisy_bench_single_population(self, fabricated_dies):
-        loop = FingerprintCampaign.random_stimuli(
-            nm=4, seed=2, noisy_bench=False
-        ).silicon_bench(seed=7).measure_population(
-            fabricated_dies, engine="loop"
+        campaign = FingerprintCampaign.random_stimuli(nm=4, seed=2)
+        loop = measure_population_loop(
+            campaign.silicon_bench(seed=7), fabricated_dies
         )
-        batched = FingerprintCampaign.random_stimuli(
-            nm=4, seed=2, noisy_bench=False
-        ).silicon_bench(seed=7).measure_population(
-            fabricated_dies, engine="batched"
-        )
+        batched = campaign.silicon_bench(seed=7).measure_population(fabricated_dies)
         _assert_device_lists_equal(batched, loop)
 
     def test_fixed_gain_channel_is_batchable(self, fabricated_dies):
-        campaign = FingerprintCampaign.random_stimuli(
-            nm=4, seed=5, noisy_bench=False
-        )
-        campaign.channel = AwgnChannel(path_gain=0.8, fading_sigma=0.0)
-        assert campaign._batch_unsupported_reason() is None
-        loop = campaign.measure_population(fabricated_dies, engine="loop")
-        batched = campaign.measure_population(fabricated_dies, engine="batched")
+        campaign = FingerprintCampaign.random_stimuli(nm=4, seed=5)
+        campaign.channel = AwgnChannel(path_gain=0.8)
+        loop = measure_population_loop(campaign, fabricated_dies)
+        batched = campaign.measure_population(fabricated_dies)
         _assert_device_lists_equal(batched, loop)
+        plain = FingerprintCampaign.random_stimuli(nm=4, seed=5)
+        assert not np.array_equal(
+            batched[0].fingerprint, plain.measure_population(fabricated_dies)[0].fingerprint
+        )
 
-    def test_fading_channel_falls_back_to_loop(self, fabricated_dies):
-        campaign = FingerprintCampaign.random_stimuli(
-            nm=4, seed=5, noisy_bench=False
+    def test_shared_stream_bench_rejected(self, fabricated_dies):
+        # Instruments without per-device streams would make the noise a
+        # device sees depend on measurement order.
+        campaign = FingerprintCampaign.random_stimuli(nm=4, seed=8)
+        shared = FingerprintCampaign(
+            key=campaign.key,
+            plaintexts=campaign.plaintexts,
+            power_meter=PowerMeter(seed=0),
+            delay_analyzer=DelayAnalyzer(seed=1),
         )
-        campaign.channel = AwgnChannel(path_gain=0.8, fading_sigma=0.1, seed=123)
-        assert campaign._batch_unsupported_reason() is not None
-        batched = campaign.measure_population(fabricated_dies, engine="batched")
-        # Equality with the loop is itself proof of the fallback: the
-        # batched path cannot reproduce the stateful per-pulse fading
-        # stream, so only the loop produces these exact measurements.  A
-        # fresh identically-configured campaign replays that stream.
-        fresh = FingerprintCampaign.random_stimuli(
-            nm=4, seed=5, noisy_bench=False
-        )
-        fresh.channel = AwgnChannel(path_gain=0.8, fading_sigma=0.1, seed=123)
-        loop = fresh.measure_population(fabricated_dies, engine="loop")
-        _assert_device_lists_equal(batched, loop)
+        with pytest.raises(ValueError, match="silicon_bench"):
+            shared.measure_population(fabricated_dies)
 
-    def test_legacy_shared_stream_bench_falls_back(self, fabricated_dies):
-        # A noisy bench without instrument_root is measurement-order
-        # dependent; the batched request must refuse and match the loop.
-        loop_bench = FingerprintCampaign.random_stimuli(
-            nm=4, seed=8, noisy_bench=True
-        )
-        assert loop_bench._batch_unsupported_reason() is not None
-        loop = loop_bench.measure_population(fabricated_dies, engine="loop")
-        batched_bench = FingerprintCampaign.random_stimuli(
-            nm=4, seed=8, noisy_bench=True
-        )
-        batched = batched_bench.measure_population(
-            fabricated_dies, engine="batched"
-        )
-        _assert_device_lists_equal(batched, loop)
-
-    def test_unknown_engine_rejected(self, fabricated_dies):
-        campaign = FingerprintCampaign.random_stimuli(nm=4, seed=5,
-                                                      noisy_bench=False)
-        with pytest.raises(ValueError, match="engine"):
-            campaign.measure_population(fabricated_dies, engine="gpu")
+    def test_empty_population(self):
+        campaign = FingerprintCampaign.random_stimuli(nm=4, seed=8)
+        assert campaign.silicon_bench(seed=1).measure_population([]) == []
 
 
 class TestMonteCarloEngineBitIdentity:
     def _engine(self, nm=6, seed=0, noise=0.0015, channel=None):
-        campaign = FingerprintCampaign.random_stimuli(
-            nm=nm, seed=seed, noisy_bench=False
-        )
+        campaign = FingerprintCampaign.random_stimuli(nm=nm, seed=seed)
         campaign.channel = channel
         return MonteCarloEngine(default_spice_deck(), campaign,
                                 numerical_noise=noise)
 
-    def test_batched_matches_loop(self):
-        engine = self._engine()
-        loop = engine.run(24, seed=42, engine="loop")
-        batched = engine.run(24, seed=42, engine="batched")
+    def _assert_runs_equal(self, engine, n, seed):
+        loop = monte_carlo_loop(engine, n, seed=seed)
+        batched = engine.run(n, seed=seed)
         np.testing.assert_array_equal(batched.pcms, loop.pcms)
         np.testing.assert_array_equal(batched.fingerprints, loop.fingerprints)
+
+    def test_batched_matches_loop(self):
+        self._assert_runs_equal(self._engine(), 24, seed=42)
 
     def test_batched_matches_loop_noise_free(self):
-        engine = self._engine(noise=0.0)
-        loop = engine.run(16, seed=9, engine="loop")
-        batched = engine.run(16, seed=9, engine="batched")
-        np.testing.assert_array_equal(batched.pcms, loop.pcms)
-        np.testing.assert_array_equal(batched.fingerprints, loop.fingerprints)
+        self._assert_runs_equal(self._engine(noise=0.0), 16, seed=9)
 
-    def test_fading_channel_falls_back(self):
-        loop = self._engine(
-            channel=AwgnChannel(fading_sigma=0.05, seed=6)
-        ).run(8, seed=4, engine="loop")
-        batched = self._engine(
-            channel=AwgnChannel(fading_sigma=0.05, seed=6)
-        ).run(8, seed=4, engine="batched")
-        np.testing.assert_array_equal(batched.pcms, loop.pcms)
-        np.testing.assert_array_equal(batched.fingerprints, loop.fingerprints)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            self._engine().run(4, seed=0, engine="simd")
+    def test_fixed_gain_channel(self):
+        self._assert_runs_equal(
+            self._engine(channel=AwgnChannel(path_gain=1.2)), 8, seed=4
+        )
 
     def test_population_matches_scalar_dies(self):
         # sample_device_population consumes each per-device stream in the
@@ -227,13 +187,15 @@ class TestMonteCarloEngineBitIdentity:
 
 
 class TestExperimentEngineBitIdentity:
-    def test_full_synthetic_experiment(self):
-        loop = generate_experiment_data(
-            small_platform(n_chips=8, n_monte_carlo=20, engine="loop")
-        )
-        batched = generate_experiment_data(
-            small_platform(n_chips=8, n_monte_carlo=20, engine="batched")
-        )
+    def test_full_synthetic_experiment(self, monkeypatch):
+        config = small_platform(n_chips=8, n_monte_carlo=20)
+        # Cache off: a warm entry would hand the oracle run the batched data.
+        with artifact_cache.activated(None):
+            batched = generate_experiment_data(config)
+            monkeypatch.setattr(MonteCarloEngine, "run", monte_carlo_loop)
+            monkeypatch.setattr(FingerprintCampaign, "measure_population",
+                                measure_population_loop)
+            loop = generate_experiment_data(config)
         np.testing.assert_array_equal(batched.sim_pcms, loop.sim_pcms)
         np.testing.assert_array_equal(
             batched.sim_fingerprints, loop.sim_fingerprints

@@ -62,7 +62,7 @@ class TestChannel:
         with pytest.raises(ValueError):
             AwgnChannel(path_gain=0.0)
         with pytest.raises(ValueError):
-            AwgnChannel(fading_sigma=-0.1)
+            AwgnChannel(path_gain=-1.0)
 
     def test_ideal_channel_preserves_train(self):
         train = _train([1.0, 2.0], [4.3, 4.3])
@@ -75,18 +75,7 @@ class TestChannel:
         out = AwgnChannel(path_gain=0.5).propagate(train)
         np.testing.assert_allclose(out.amplitudes, [0.5, 1.0])
 
-    def test_fading_perturbs_amplitudes(self):
-        train = _train([1.0] * 100, [4.3] * 100)
-        out = AwgnChannel(fading_sigma=0.05, seed=0).propagate(train)
-        rel = out.amplitudes / train.amplitudes - 1.0
-        assert rel.std() == pytest.approx(0.05, rel=0.3)
-
-    def test_fading_never_negative(self):
-        train = _train([1.0] * 200, [4.3] * 200)
-        out = AwgnChannel(fading_sigma=1.0, seed=0).propagate(train)
-        assert np.all(out.amplitudes >= 0.0)
-
     def test_propagate_does_not_mutate_input(self):
         train = _train([1.0], [4.3])
-        AwgnChannel(path_gain=0.1, seed=0).propagate(train)
+        AwgnChannel(path_gain=0.1).propagate(train)
         assert train.amplitudes[0] == 1.0

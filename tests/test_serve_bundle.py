@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import BOUNDARY_NAMES, GoldenChipFreeDetector
+from repro.learn.mars import MarsRegression
 from repro.serve import bundle
 from repro.serve.bundle import (
     BundleError,
@@ -154,6 +155,45 @@ class TestRoundTrip:
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert result.returncode == 0, result.stderr
+
+    def test_bundle_with_retired_keys_loads(self, fitted_detector,
+                                            experiment_data, tmp_path,
+                                            monkeypatch):
+        """Bundles written before the engine/forward switches were retired.
+
+        Their detector config carries ``"engine"`` and every MARS model's
+        params carry ``"forward"``; both are dropped on load.
+        """
+        detector_state = GoldenChipFreeDetector.to_state
+        mars_state = MarsRegression.to_state
+
+        def old_detector_state(self):
+            state = detector_state(self)
+            state["config"]["engine"] = "batched"
+            return state
+
+        def old_mars_state(self):
+            state = mars_state(self)
+            state["params"]["forward"] = "fast"
+            return state
+
+        monkeypatch.setattr(GoldenChipFreeDetector, "to_state", old_detector_state)
+        monkeypatch.setattr(MarsRegression, "to_state", old_mars_state)
+        path = export_bundle(fitted_detector, tmp_path / "old.npz").path
+        monkeypatch.undo()
+
+        restored = load_bundle(path).detector
+        assert restored.config == fitted_detector.config
+        fingerprints = experiment_data.dutt_fingerprints
+        expected = fitted_detector.decision_scores_batch(fingerprints)
+        for name, scores in restored.decision_scores_batch(fingerprints).items():
+            assert np.array_equal(scores, expected[name]), name
+
+    def test_unknown_config_key_still_rejected(self, fitted_detector):
+        state = fitted_detector.to_state()
+        state["config"]["flux_capacitor"] = True
+        with pytest.raises(TypeError):
+            GoldenChipFreeDetector.from_state(state)
 
     def test_restored_detector_is_inference_only(self, bundle_path,
                                                  experiment_data):

@@ -79,7 +79,7 @@ class TestChip:
 
 class TestCampaign:
     def test_random_stimuli_shapes(self):
-        campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0, noisy_bench=False)
+        campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0)
         assert campaign.nm == 6
         assert campaign.np_dim == 1
         assert len(campaign.key) == 16
@@ -95,7 +95,7 @@ class TestCampaign:
             FingerprintCampaign.random_stimuli(nm=0)
 
     def test_fingerprint_dimension_and_determinism(self):
-        campaign = FingerprintCampaign.random_stimuli(nm=5, seed=1, noisy_bench=False)
+        campaign = FingerprintCampaign.random_stimuli(nm=5, seed=1)
         chip = WirelessCryptoChip(die=_StubDie(), key=campaign.key)
         fp1 = campaign.fingerprint(chip)
         fp2 = campaign.fingerprint(chip)
@@ -103,13 +103,13 @@ class TestCampaign:
         np.testing.assert_array_equal(fp1, fp2)  # noise-free bench
 
     def test_noisy_bench_perturbs_fingerprint(self):
-        campaign = FingerprintCampaign.random_stimuli(nm=4, seed=1, noisy_bench=False)
+        campaign = FingerprintCampaign.random_stimuli(nm=4, seed=1)
         bench = campaign.silicon_bench(seed=2)
         chip = WirelessCryptoChip(die=_StubDie(), key=campaign.key)
         assert not np.array_equal(bench.fingerprint(chip), bench.fingerprint(chip))
 
     def test_silicon_bench_preserves_stimuli(self):
-        campaign = FingerprintCampaign.random_stimuli(nm=4, seed=1, noisy_bench=False)
+        campaign = FingerprintCampaign.random_stimuli(nm=4, seed=1)
         bench = campaign.silicon_bench(seed=2)
         assert bench.key == campaign.key
         assert bench.plaintexts == campaign.plaintexts
@@ -118,7 +118,7 @@ class TestCampaign:
         deck = default_spice_deck()
         foundry = Foundry(deck_nominal=deck.nominal, variation=deck.variation, seed=0)
         die = foundry.fabricate_lot(1)[0]
-        campaign = FingerprintCampaign.random_stimuli(nm=3, seed=1, noisy_bench=False)
+        campaign = FingerprintCampaign.random_stimuli(nm=3, seed=1)
         clean = campaign.measure_device(die)
         dirty = campaign.measure_device(die, trojan=AmplitudeModulationTrojan(), version="T1")
         assert clean.infested is False and clean.trojan_name == "none"
@@ -128,7 +128,7 @@ class TestCampaign:
 
     def test_extended_pcm_suite_gives_two_readings(self):
         campaign = FingerprintCampaign.random_stimuli(
-            nm=3, seed=1, noisy_bench=False, pcm_suite=PCMSuite.extended()
+            nm=3, seed=1, pcm_suite=PCMSuite.extended()
         )
         deck = default_spice_deck()
         foundry = Foundry(deck_nominal=deck.nominal, variation=deck.variation, seed=0)
@@ -139,12 +139,12 @@ class TestCampaign:
         deck = default_spice_deck()
         foundry = Foundry(deck_nominal=deck.nominal, variation=deck.variation, seed=0)
         dies = foundry.fabricate_lot(4)
-        campaign = FingerprintCampaign.random_stimuli(nm=3, seed=1, noisy_bench=False)
+        campaign = FingerprintCampaign.random_stimuli(nm=3, seed=1)
         devices = campaign.measure_population(dies)
         assert len(devices) == 4
 
     def test_trojan_shifts_fingerprint(self):
-        campaign = FingerprintCampaign.random_stimuli(nm=6, seed=1, noisy_bench=False)
+        campaign = FingerprintCampaign.random_stimuli(nm=6, seed=1)
         die = _StubDie()
         clean = campaign.measure_device(die).fingerprint
         dirty = campaign.measure_device(
