@@ -96,6 +96,19 @@ class GoldenChipFreeDetector:
                      "svm_max_training_samples", "boundary_method"),
     }
 
+    #: Code-version salt of each cacheable stage (see
+    #: :func:`repro.cache.make_key`).  Bump a stage's entry whenever its
+    #: algorithm changes what it produces for identical inputs, so entries
+    #: written by older code become misses instead of being served.
+    #: kmm_shift 2: active-set KMM solver; boundary 2: on-demand-row
+    #: second-order SMO.
+    _STAGE_VERSIONS = {
+        "regressions": 1,
+        "kde_tail": 1,
+        "kmm_shift": 2,
+        "boundary": 2,
+    }
+
     def _stage_parts(self, stage: str, **extra) -> dict:
         parts = {name: getattr(self.config, name)
                  for name in self._STAGE_FIELDS[stage]}
@@ -112,7 +125,8 @@ class GoldenChipFreeDetector:
             if self.config.seed is None:
                 return compute()
             parts = {**parts, "seed": self.config.seed}
-        return artifact_cache.stage_cached(stage, parts, compute)
+        return artifact_cache.stage_cached(stage, parts, compute,
+                                           version=self._STAGE_VERSIONS[stage])
 
     # ------------------------------------------------------------------
     # stage 1: pre-manufacturing
@@ -241,13 +255,15 @@ class GoldenChipFreeDetector:
         cache = artifact_cache.get_cache()
         use_cache = cache is not None and self.config.seed is not None
         pending = dict(mapping)
+        keys = {}
         if use_cache:
             for name, dataset in mapping.items():
-                key = artifact_cache.make_key(
+                keys[name] = artifact_cache.make_key(
                     "boundary", {**self._boundary_key_parts(name, dataset),
                                  "seed": self.config.seed},
+                    version=self._STAGE_VERSIONS["boundary"],
                 )
-                region = cache.load("boundary", key)
+                region = cache.load("boundary", keys[name])
                 if region is not artifact_cache.MISS:
                     self.boundaries[name] = region
                     del pending[name]
@@ -258,14 +274,10 @@ class GoldenChipFreeDetector:
         with span("pipeline.fit_boundaries", boundaries=",".join(pending),
                   n_jobs=self.config.n_jobs):
             fitted = parallel_map(_fit_region, pairs, n_jobs=self.config.n_jobs)
-        for (name, dataset), region in zip(pending.items(), fitted):
+        for name, region in zip(pending, fitted):
             self.boundaries[name] = region
             if use_cache:
-                key = artifact_cache.make_key(
-                    "boundary", {**self._boundary_key_parts(name, dataset),
-                                 "seed": self.config.seed},
-                )
-                cache.store("boundary", key, region)
+                cache.store("boundary", keys[name], region)
 
     # ------------------------------------------------------------------
     # stage 3: trojan test

@@ -3,8 +3,9 @@
 The environment provides no scikit-learn, so the classifiers and regressors
 the paper names are implemented here from first principles:
 
-* :class:`OneClassSvm` — Schölkopf's ν-formulation, solved by a
-  maximal-violating-pair SMO on the dense Gram matrix;
+* :class:`OneClassSvm` — Schölkopf's ν-formulation, solved by SMO with
+  second-order (WSS2) working-set selection on kernel rows computed on
+  demand, so the n x n Gram matrix is never built;
 * :class:`MarsRegression` — Multivariate Adaptive Regression Splines
   (forward hinge-basis growth + GCV backward pruning), the model the paper
   uses to map PCM measurements to side-channel fingerprints, and

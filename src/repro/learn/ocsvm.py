@@ -9,27 +9,32 @@ trained on (synthetic) golden fingerprint populations.  The dual problem is
 and the decision function is  f(x) = sum_i alpha_i k(x_i, x) - rho, with a
 device declared *inside* the trusted region when f(x) >= 0.
 
-The dual is solved by sequential minimal optimization with maximal-violating
--pair working-set selection: at optimality (Kα)_i >= rho for alpha_i = 0,
-(Kα)_i <= rho for alpha_i = C, and (Kα)_i = rho in between; each iteration
-transfers weight between the most violating pair in closed form.
+The dual is solved by sequential minimal optimization: at optimality
+(Kα)_i >= rho for alpha_i = 0, (Kα)_i <= rho for alpha_i = C, and
+(Kα)_i = rho in between.  Each iteration pairs the most violating "up"
+coordinate i with the "down" coordinate j of largest second-order gain
+(libsvm's WSS2) and transfers weight between them in closed form.  Kernel
+rows are computed on demand and kept for the rest of the fit, so the n x n
+Gram matrix is never built: SMO touches only the rows of the coordinates it
+selects.  A fit's optimality is judged, not assumed: the KKT residual at
+exit is kept as ``kkt_residual_`` and a fit that stops above ``tol`` logs a
+warning.
 """
 
 from __future__ import annotations
 
+import logging
 from typing import Optional
 
 import numpy as np
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
-from repro.stats.kernels import (
-    median_heuristic_gamma_from_sq,
-    pairwise_sq_dists,
-    rbf_from_sq_dists,
-)
+from repro.stats.kernels import median_heuristic_gamma_strided, rbf_from_sq_dists
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_2d, check_probability
+
+_log = logging.getLogger("repro.ocsvm")
 
 #: Numerical slack around the decision boundary ``f(x) = 0``.  The dual is
 #: only solved to ``tol`` (1e-6), so distinctions at this scale carry no
@@ -38,6 +43,28 @@ from repro.utils.validation import check_2d, check_probability
 #: within it of the boundary as inside.  Referenced everywhere instead of a
 #: repeated literal so the two uses cannot drift apart.
 BOUNDARY_TOL = 1e-12
+
+#: Floor on the pair curvature ``a_ij`` in second-order working-set
+#: selection (libsvm's ``TAU``): near-duplicate points have ``a_ij ~ 0``.
+_MIN_CURVATURE = 1e-12
+
+
+def _rbf_against(points: np.ndarray, anchors: np.ndarray,
+                 anchor_sq_norms: np.ndarray, gamma: float) -> np.ndarray:
+    """RBF kernel block between ``points`` and ``anchors``.
+
+    ``anchor_sq_norms`` is the ``(1, m)`` row of the anchors' squared norms,
+    computed once by the caller.  The arithmetic mirrors
+    :func:`~repro.stats.kernels.pairwise_sq_dists` followed by
+    :func:`~repro.stats.kernels.rbf_from_sq_dists` operation for operation.
+    """
+    x_norm = np.sum(points**2, axis=1)[:, None]
+    prod = points @ anchors.T
+    prod *= 2.0
+    sq = x_norm + anchor_sq_norms
+    np.subtract(sq, prod, out=sq)
+    np.maximum(sq, 0.0, out=sq)
+    return rbf_from_sq_dists(sq, gamma)
 
 
 class OneClassSvm:
@@ -56,8 +83,12 @@ class OneClassSvm:
         SMO iteration cap (each iteration updates one pair).
     max_training_samples:
         Training sets larger than this are subsampled (the 10^5-point KDE
-        populations of the paper would otherwise need a 10^10-entry Gram
-        matrix).  Subsampling is deterministic given ``seed``.
+        populations of the paper would otherwise need up to 10^5 kernel
+        rows of 10^5 entries).  Subsampling is deterministic given ``seed``.
+
+    After :meth:`fit`, ``kkt_residual_`` is the maximal KKT violation of the
+    dual solution and ``converged_`` says whether it is below ``tol`` with
+    the iteration cap not reached.
     """
 
     def __init__(
@@ -87,6 +118,8 @@ class OneClassSvm:
         self.rho_: Optional[float] = None
         self.effective_gamma_: Optional[float] = None
         self.n_iterations_: int = 0
+        self.kkt_residual_: Optional[float] = None
+        self.converged_: bool = False
         self._sv_sq_norms: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -103,8 +136,17 @@ class OneClassSvm:
                 iterations=self.n_iterations_,
                 support_vectors=int(self.support_vectors_.shape[0]),
                 gamma=self.effective_gamma_,
+                kkt_residual=self.kkt_residual_,
+                converged=self.converged_,
+            )
+        if not self.converged_:
+            _log.warning(
+                "one-class SVM not converged: KKT residual %.3g after %d "
+                "iterations (tol %.3g)", self.kkt_residual_, self.n_iterations_,
+                self.tol,
             )
         obs_metrics.histogram("ocsvm.iterations").observe(self.n_iterations_)
+        obs_metrics.histogram("ocsvm.kkt_residual").observe(self.kkt_residual_)
         obs_metrics.histogram("ocsvm.support_vectors").observe(
             self.support_vectors_.shape[0]
         )
@@ -116,12 +158,19 @@ class OneClassSvm:
             idx = rng.choice(data.shape[0], size=self.max_training_samples, replace=False)
             data = data[idx]
         n = data.shape[0]
+        gamma = self.gamma if self.gamma is not None else median_heuristic_gamma_strided(data)
 
-        # One shared squared-distance pass feeds both the median-heuristic
-        # gamma and the Gram matrix (the distances are never computed twice).
-        sq = pairwise_sq_dists(data, data)
-        gamma = self.gamma if self.gamma is not None else median_heuristic_gamma_from_sq(sq)
-        kernel = rbf_from_sq_dists(sq, gamma)  # consumes the sq buffer
+        # Kernel rows are computed the first time SMO needs them and kept for
+        # the rest of the fit; the working sets touch a small fraction of the
+        # n rows, so the n x n Gram matrix is never built.
+        sq_norms = np.sum(data**2, axis=1)[None, :]
+        rows = {}
+
+        def row(k: int) -> np.ndarray:
+            cached = rows.get(k)
+            if cached is None:
+                cached = rows[k] = _rbf_against(data[k:k + 1], data, sq_norms, gamma)[0]
+            return cached
 
         c_bound = 1.0 / (self.nu * n)
         # libsvm's one-class initialization: fill the first floor(nu * n)
@@ -138,18 +187,26 @@ class OneClassSvm:
             alpha = np.zeros(n)
             alpha[:full] = c_bound
             alpha[full:full + 1] = max(0.0, 1.0 - full * c_bound)
-        gradient = kernel @ alpha  # (K alpha)_i
+        # (K alpha)_i needs only the kernel columns of the nonzero start
+        # coordinates; by symmetry they are the first rows, computed as one
+        # block and kept.
+        start = n if full == 0 else min(n, full + 1)
+        block = _rbf_against(data[:start], data, sq_norms, gamma)
+        rows.update(enumerate(block))
+        gradient = alpha[:start] @ block
 
         # Incremental working-set bookkeeping: the selection penalties change
         # only at the two updated coordinates per iteration, so the loop does
         # a handful of in-place O(n) vector ops and no index-array
-        # allocations.  ``work`` is the scratch used for masked arg-selection:
-        # adding +/-inf penalties excludes coordinates pinned at a box edge.
+        # allocations.  Adding +/-inf penalties excludes coordinates pinned
+        # at a box edge from the masked arg-selections.
         up_penalty = np.where(alpha >= c_bound - 1e-15, np.inf, 0.0)
         down_penalty = np.where(alpha <= 1e-15, -np.inf, 0.0)
         work = np.empty(n)
+        curvature = np.empty(n)
         col = np.empty(n)
 
+        capped = False
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):
             np.add(gradient, up_penalty, out=work)
@@ -157,30 +214,55 @@ class OneClassSvm:
             if work[i] == np.inf:  # no coordinate can move up
                 break
             np.add(gradient, down_penalty, out=work)
+            if work.max() - gradient[i] < self.tol:  # also: none can move down
+                break
+            # Second-order selection of j (WSS2, Fan, Chen & Lin 2005): among
+            # the down candidates with positive violation b_j = G_j - G_i,
+            # maximize the guaranteed objective decrease b_j^2 / a_ij with
+            # a_ij = K_ii + K_jj - 2 K_ij (k(x, x) = 1 for the RBF kernel).
+            row_i = row(i)
+            np.multiply(row_i, -2.0, out=curvature)
+            curvature += 1.0 + row_i[i]
+            np.maximum(curvature, _MIN_CURVATURE, out=curvature)
+            np.subtract(gradient, gradient[i], out=work)
+            np.maximum(work, 0.0, out=work)
+            work *= work
+            work /= curvature
+            work += down_penalty
             j = int(work.argmax())
-            if work[j] == -np.inf:  # no coordinate can move down
-                break
+            row_j = row(j)
             violation = gradient[j] - gradient[i]
-            if violation < self.tol:
-                break
-            curvature = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
-            if curvature <= 1e-15:
+            pair_curvature = row_i[i] + row_j[j] - 2.0 * row_i[j]
+            if pair_curvature <= 1e-15:
                 step = min(c_bound - alpha[i], alpha[j])
             else:
-                step = min(violation / curvature, c_bound - alpha[i], alpha[j])
+                step = min(violation / pair_curvature, c_bound - alpha[i], alpha[j])
             if step <= 0.0:
                 break
             alpha[i] += step
             alpha[j] -= step
-            # The Gram matrix is symmetric, so rows stand in for columns
+            # The kernel is symmetric, so rows stand in for columns
             # (contiguous access) in the gradient update.
-            np.subtract(kernel[i], kernel[j], out=col)
+            np.subtract(row_i, row_j, out=col)
             col *= step
             gradient += col
             up_penalty[i] = np.inf if alpha[i] >= c_bound - 1e-15 else 0.0
             down_penalty[i] = -np.inf if alpha[i] <= 1e-15 else 0.0
             up_penalty[j] = np.inf if alpha[j] >= c_bound - 1e-15 else 0.0
             down_penalty[j] = -np.inf if alpha[j] <= 1e-15 else 0.0
+        else:
+            capped = True
+        self._store_solution(data, alpha, gradient, gamma, c_bound, iterations, capped)
+
+    def _store_solution(self, data, alpha, gradient, gamma, c_bound,
+                        iterations, capped) -> None:
+        """Extract the boundary from a dual solution and judge its optimality.
+
+        ``gradient`` is the solver's ``K alpha``.  The KKT residual is the
+        maximal violation ``max G(down) - min G(up)`` over the coordinates
+        that can still move; the fit has converged when it is below ``tol``
+        and the iteration cap did not stop the solver.
+        """
         self.n_iterations_ = iterations
 
         support = alpha > BOUNDARY_TOL
@@ -194,6 +276,14 @@ class OneClassSvm:
         margin = support & (alpha < c_bound - 1e-9)
         reference = margin if margin.any() else support
         self.rho_ = float(np.mean(gradient[reference]))
+
+        up = alpha < c_bound - 1e-15
+        down = alpha > 1e-15
+        residual = 0.0
+        if up.any() and down.any():
+            residual = max(0.0, float(gradient[down].max() - gradient[up].min()))
+        self.kkt_residual_ = residual
+        self.converged_ = bool(residual < self.tol and not capped)
 
     def _check_fitted(self):
         if self.support_vectors_ is None:
@@ -216,13 +306,8 @@ class OneClassSvm:
         """
         if self._sv_sq_norms is None:
             self._sv_sq_norms = np.sum(self.support_vectors_**2, axis=1)[None, :]
-        x_norm = np.sum(points**2, axis=1)[:, None]
-        prod = points @ self.support_vectors_.T
-        prod *= 2.0
-        sq = x_norm + self._sv_sq_norms
-        np.subtract(sq, prod, out=sq)
-        np.maximum(sq, 0.0, out=sq)
-        return rbf_from_sq_dists(sq, self.effective_gamma_)
+        return _rbf_against(points, self.support_vectors_, self._sv_sq_norms,
+                            self.effective_gamma_)
 
     def decision_function(self, points) -> np.ndarray:
         """Signed distance-like score; >= 0 means inside the trusted region."""

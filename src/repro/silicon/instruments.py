@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -44,13 +42,6 @@ class Instrument:
         """One noisy scalar reading."""
         gain = 1.0 + self.gain_sigma * self._rng.standard_normal()
         return float(true_value * gain + self.offset_sigma * self._rng.standard_normal())
-
-    def read_many(self, true_values) -> np.ndarray:
-        """Independent noisy readings of a vector of true values."""
-        values = np.asarray(true_values, dtype=float)
-        gains = 1.0 + self.gain_sigma * self._rng.standard_normal(values.shape)
-        offsets = self.offset_sigma * self._rng.standard_normal(values.shape)
-        return values * gains + offsets
 
 
 class PowerMeter(Instrument):

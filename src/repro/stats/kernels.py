@@ -1,9 +1,10 @@
 """Kernel functions and Gram matrices for KMM and the one-class SVM.
 
 :func:`pairwise_sq_dists` is the shared squared-distance building block:
-the one-class SVM, kernel mean matching and the KDE all reduce their Gram /
-kernel evaluations to one call of it (one GEMM), so a distance matrix is
-never computed twice for the same data.
+kernel mean matching and the KDE reduce their Gram / kernel evaluations to
+one call of it (one GEMM), so a distance matrix is never computed twice for
+the same data.  The one-class SVM computes its kernel rows on demand with
+the same arithmetic and never forms the full matrix.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ def polynomial_kernel(x, y=None, degree: int = 3, coef0: float = 1.0,
     return (gamma * (x @ y.T) + coef0) ** degree
 
 
+def _median_stride(n: int, max_samples: int) -> int:
+    """Row stride of the median heuristic's deterministic subset."""
+    return -(-n // max_samples) if n > max_samples else 1
+
+
 def median_heuristic_gamma_from_sq(sq: np.ndarray, max_samples: int = 1000) -> float:
     """RBF gamma from a precomputed symmetric squared-distance matrix.
 
@@ -84,7 +90,7 @@ def median_heuristic_gamma_from_sq(sq: np.ndarray, max_samples: int = 1000) -> f
     if n < 2:
         return 1.0
     if n > max_samples:
-        idx = np.arange(0, n, -(-n // max_samples))
+        idx = np.arange(0, n, _median_stride(n, max_samples))
         sq = sq[np.ix_(idx, idx)]
         n = sq.shape[0]
     # Row-sliced strict upper triangle: same entries as triu_indices_from
@@ -94,6 +100,18 @@ def median_heuristic_gamma_from_sq(sq: np.ndarray, max_samples: int = 1000) -> f
     if median_sq <= 0.0:
         return 1.0
     return 1.0 / (2.0 * median_sq)
+
+
+def median_heuristic_gamma_strided(x: np.ndarray, max_samples: int = 1000) -> float:
+    """:func:`median_heuristic_gamma_from_sq` without the full distance matrix.
+
+    Equal to ``median_heuristic_gamma_from_sq(pairwise_sq_dists(x, x))``,
+    but only the strided row subset the heuristic reads is ever computed:
+    O(max_samples^2) distances instead of O(n^2).
+    """
+    sample = x[::_median_stride(x.shape[0], max_samples)]
+    return median_heuristic_gamma_from_sq(pairwise_sq_dists(sample, sample),
+                                          max_samples)
 
 
 def median_heuristic_gamma(x, max_samples: int = 1000, rng: SeedLike = 0) -> float:

@@ -13,7 +13,12 @@ computes — and the oracles here *are* that formulation:
   :meth:`SpiceDeck.sample_die` from its own spawned stream, measures it the
   same way, then applies the numerical noise;
 * :class:`LstsqForwardMars` solves every forward-pass candidate with a full
-  ``np.linalg.lstsq``.
+  ``np.linalg.lstsq``;
+* :class:`DenseMvpOneClassSvm` solves the one-class SVM dual on the dense
+  n x n Gram matrix with maximal-violating-pair working-set selection.
+  Unlike the other oracles it is not bitwise equal to production (the
+  second-order selection takes a different path to the optimum); the two
+  agree to the solver tolerance.
 
 The loop oracles mirror the production signatures, so a test can
 monkeypatch them over ``FingerprintCampaign.measure_population`` and
@@ -28,8 +33,14 @@ import numpy as np
 
 from repro.circuits.montecarlo import MonteCarloResult, SimulatedDie
 from repro.learn.mars import BasisFunction, HingeTerm, MarsRegression
+from repro.learn.ocsvm import OneClassSvm
 from repro.silicon.instruments import DelayAnalyzer, PowerMeter
-from repro.utils.rng import spawn_seed_sequences
+from repro.stats.kernels import (
+    median_heuristic_gamma_from_sq,
+    pairwise_sq_dists,
+    rbf_from_sq_dists,
+)
+from repro.utils.rng import as_generator, spawn_seed_sequences
 
 
 def measure_population_loop(campaign, dies, trojan=None, version="TF"):
@@ -121,3 +132,67 @@ class LstsqForwardMars(MarsRegression):
                         )
                         best = (pair, np.column_stack([up, down]), sse)
         return best
+
+
+class DenseMvpOneClassSvm(OneClassSvm):
+    """One-class SVM solved by maximal-violating-pair SMO on the dense Gram."""
+
+    def _fit(self, data):
+        if data.shape[0] > self.max_training_samples:
+            rng = as_generator(self.seed)
+            idx = rng.choice(data.shape[0], size=self.max_training_samples, replace=False)
+            data = data[idx]
+        n = data.shape[0]
+
+        sq = pairwise_sq_dists(data, data)
+        gamma = self.gamma if self.gamma is not None else median_heuristic_gamma_from_sq(sq)
+        kernel = rbf_from_sq_dists(sq, gamma)
+
+        c_bound = 1.0 / (self.nu * n)
+        full = min(n, int(self.nu * n))
+        if full == 0:
+            alpha = np.full(n, 1.0 / n)
+        else:
+            alpha = np.zeros(n)
+            alpha[:full] = c_bound
+            alpha[full:full + 1] = max(0.0, 1.0 - full * c_bound)
+        gradient = kernel @ alpha
+
+        up_penalty = np.where(alpha >= c_bound - 1e-15, np.inf, 0.0)
+        down_penalty = np.where(alpha <= 1e-15, -np.inf, 0.0)
+        work = np.empty(n)
+        col = np.empty(n)
+
+        capped = False
+        iterations = 0
+        for iterations in range(1, self.max_iterations + 1):
+            np.add(gradient, up_penalty, out=work)
+            i = int(work.argmin())
+            if work[i] == np.inf:
+                break
+            np.add(gradient, down_penalty, out=work)
+            j = int(work.argmax())
+            if work[j] == -np.inf:
+                break
+            violation = gradient[j] - gradient[i]
+            if violation < self.tol:
+                break
+            curvature = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
+            if curvature <= 1e-15:
+                step = min(c_bound - alpha[i], alpha[j])
+            else:
+                step = min(violation / curvature, c_bound - alpha[i], alpha[j])
+            if step <= 0.0:
+                break
+            alpha[i] += step
+            alpha[j] -= step
+            np.subtract(kernel[i], kernel[j], out=col)
+            col *= step
+            gradient += col
+            up_penalty[i] = np.inf if alpha[i] >= c_bound - 1e-15 else 0.0
+            down_penalty[i] = -np.inf if alpha[i] <= 1e-15 else 0.0
+            up_penalty[j] = np.inf if alpha[j] >= c_bound - 1e-15 else 0.0
+            down_penalty[j] = -np.inf if alpha[j] <= 1e-15 else 0.0
+        else:
+            capped = True
+        self._store_solution(data, alpha, gradient, gamma, c_bound, iterations, capped)

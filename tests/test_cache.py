@@ -337,6 +337,37 @@ class TestPipelineIntegration:
         assert "stages" in session
 
 
+class TestStageVersions:
+    def test_entries_of_an_older_stage_version_are_misses(self, tmp_path,
+                                                           monkeypatch):
+        """A cache written before a solver change must not serve its output."""
+        from repro.core.config import DetectorConfig
+        from repro.core.pipeline import GoldenChipFreeDetector
+        from repro.experiments.platformcfg import PlatformConfig
+        from repro.experiments.table1 import run_table1
+
+        platform = PlatformConfig(n_chips=6, n_monte_carlo=20, seed=7)
+        detector_config = DetectorConfig(kde_samples=1000, seed=11)
+        current = GoldenChipFreeDetector._STAGE_VERSIONS
+        assert current["kmm_shift"] == 2 and current["boundary"] == 2
+        root = str(tmp_path / "c")
+
+        monkeypatch.setattr(GoldenChipFreeDetector, "_STAGE_VERSIONS",
+                            dict.fromkeys(current, 1))
+        with artifact_cache.activated(ArtifactCache(root)):
+            run_table1(platform=platform, detector_config=detector_config)
+        monkeypatch.setattr(GoldenChipFreeDetector, "_STAGE_VERSIONS", current)
+        warm = ArtifactCache(root)
+        with artifact_cache.activated(warm):
+            run_table1(platform=platform, detector_config=detector_config)
+
+        stages = warm.session.per_stage
+        for stage in ("kmm_shift", "boundary"):
+            assert stages[stage].hits == 0 and stages[stage].misses > 0, stage
+        for stage in ("mc", "dutt", "regressions", "kde_tail"):
+            assert stages[stage].misses == 0 and stages[stage].hits > 0, stage
+
+
 class TestModuleConfiguration:
     def test_stage_cached_pass_through_when_off(self):
         with artifact_cache.activated(None):

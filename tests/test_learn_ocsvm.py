@@ -1,9 +1,15 @@
 """One-class SVM: ν-property, boundary behaviour, SMO convergence."""
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.learn.ocsvm import OneClassSvm
+from repro.stats.kernels import rbf_kernel
 
 
 @pytest.fixture()
@@ -102,3 +108,79 @@ class TestSolver:
         data = np.random.default_rng(0).standard_normal((50, 2))
         svm = OneClassSvm(nu=0.2, seed=0).fit(data)
         assert svm.n_iterations_ < 50_000
+
+
+def dense_kkt_residual(model, data):
+    """Max KKT violation of a fit, with ``K alpha`` recomputed densely.
+
+    The solver keeps ``K alpha`` incrementally; recomputing it from the
+    stored dual coefficients catches drift in that running gradient.
+    """
+    n = data.shape[0]
+    c_bound = 1.0 / (model.nu * n)
+    index = {row.tobytes(): k for k, row in enumerate(data)}
+    alpha = np.zeros(n)
+    for vector, coef in zip(model.support_vectors_, model.dual_coefs_):
+        alpha[index[vector.tobytes()]] = coef
+    gradient = rbf_kernel(data, data, gamma=model.effective_gamma_) @ alpha
+    up = alpha < c_bound - 1e-15
+    down = alpha > 1e-15
+    return max(0.0, float(gradient[down].max() - gradient[up].min()))
+
+
+class TestKktOptimality:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(20, 300),
+        d=st.integers(2, 6),
+        nu=st.floats(0.05, 0.5),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_solution_satisfies_kkt(self, n, d, nu, seed):
+        data = np.random.default_rng(seed).standard_normal((n, d))
+        model = OneClassSvm(nu=nu, seed=0).fit(data)
+        assert model.converged_
+        assert model.kkt_residual_ < model.tol
+        # Dual coefficients dropped below BOUNDARY_TOL and the rounding of
+        # the running gradient each move the dense residual by far less
+        # than this slack.
+        assert dense_kkt_residual(model, data) < model.tol + 1e-9
+        c_bound = 1.0 / (nu * n)
+        assert model.dual_coefs_.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(model.dual_coefs_ > 0.0)
+        assert np.all(model.dual_coefs_ <= c_bound + 1e-12)
+
+    def test_iteration_cap_is_not_convergence(self, gaussian_cloud, caplog):
+        # setup_logging stops propagation at the "repro" logger, so listen
+        # on the module logger itself.
+        logger = logging.getLogger("repro.ocsvm")
+        logger.addHandler(caplog.handler)
+        try:
+            model = OneClassSvm(nu=0.1, max_iterations=3, seed=0).fit(gaussian_cloud)
+        finally:
+            logger.removeHandler(caplog.handler)
+        assert model.converged_ is False
+        assert model.n_iterations_ == 3
+        assert model.kkt_residual_ >= model.tol
+        assert f"{model.kkt_residual_:.3g}" in caplog.text
+
+    def test_converged_fit_does_not_warn(self, gaussian_cloud, caplog):
+        logger = logging.getLogger("repro.ocsvm")
+        logger.addHandler(caplog.handler)
+        try:
+            model = OneClassSvm(nu=0.1, seed=0).fit(gaussian_cloud)
+        finally:
+            logger.removeHandler(caplog.handler)
+        assert model.converged_ is True
+        assert caplog.text == ""
+
+    def test_kkt_residual_is_traced(self, gaussian_cloud):
+        obs.enable()
+        try:
+            model = OneClassSvm(nu=0.1, seed=0).fit(gaussian_cloud)
+        finally:
+            spans, snapshot = obs.disable()
+        (fit_span,) = [s for s in spans if s.name == "ocsvm.fit"]
+        assert fit_span.attributes["kkt_residual"] == model.kkt_residual_
+        assert fit_span.attributes["converged"] is True
+        assert snapshot["histograms"]["ocsvm.kkt_residual"]["count"] == 1

@@ -16,12 +16,11 @@ def test_rejects_negative_sigmas():
 def test_noise_free_instrument_is_transparent():
     meter = Instrument(seed=0)
     assert meter.read(3.14) == 3.14
-    np.testing.assert_array_equal(meter.read_many([1.0, 2.0]), [1.0, 2.0])
 
 
 def test_gain_noise_statistics():
     meter = Instrument(gain_sigma=0.02, seed=0)
-    readings = meter.read_many(np.full(4000, 10.0))
+    readings = np.array([meter.read(10.0) for _ in range(4000)])
     rel = readings / 10.0 - 1.0
     assert abs(rel.mean()) < 0.002
     assert rel.std() == pytest.approx(0.02, rel=0.1)
@@ -29,7 +28,7 @@ def test_gain_noise_statistics():
 
 def test_offset_noise_statistics():
     meter = Instrument(offset_sigma=0.5, seed=0)
-    readings = meter.read_many(np.zeros(4000))
+    readings = np.array([meter.read(0.0) for _ in range(4000)])
     assert readings.std() == pytest.approx(0.5, rel=0.1)
 
 
