@@ -51,7 +51,7 @@ SEED ?= 0
 RUN_SECONDS ?= 30
 TRACE ?= 0
 perfbench:
-	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds $(RUN_SECONDS) --trace $(TRACE)
+	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds $(RUN_SECONDS) --trace $(TRACE)
 
 # On-disk inventory of the artifact cache (root, cap, entries per stage).
 cache-stats:

@@ -15,8 +15,10 @@ run uses and writes them to a JSON report:
 * ``aes_batch`` — vectorized AES-128 over a (2048 devices x 6 blocks)
   uint8 batch;
 * ``table1`` — the end-to-end three-stage pipeline on pre-generated data;
-* ``serve_batch`` — scoring 2048 devices against all five boundaries
-  through the serving engine (the screening service's hot path).
+* ``serve_batch`` — scoring 2048 devices of a fresh lot (platform seed
+  10000, the lot the screening benchmark serves) against all five
+  boundaries through the serving engine (the screening service's hot
+  path).
 
 ``--compare BASELINE.json`` exits non-zero when any component is more than
 ``--threshold`` (default 20 %) slower than the committed baseline.  Timings
@@ -105,8 +107,14 @@ def build_cases(n_jobs: int = 1) -> Dict[str, Callable[[], object]]:
     serve_detector.fit_premanufacturing(data.sim_pcms, data.sim_fingerprints)
     serve_detector.fit_silicon(data.dutt_pcms)
     serve_engine = ScoringEngine(serve_detector)
-    reps = -(-2048 // data.dutt_fingerprints.shape[0])
-    serve_batch = np.tile(data.dutt_fingerprints, (reps, 1))[:2048]
+    # Devices from another lot lie far from the support vectors, as in
+    # production screening; the display lot's own DUTTs sit near the
+    # boundaries and never reach the kernel's underflow tail.
+    screened = generate_experiment_data(
+        PlatformConfig(seed=10_000, n_chips=342)
+    ).dutt_fingerprints
+    reps = -(-2048 // screened.shape[0])
+    serve_batch = np.tile(screened, (reps, 1))[:2048]
     aes_key = rng.bytes(16)
     aes_blocks = rng.integers(0, 256, size=(2048, 6, 16), dtype=np.uint8)
 

@@ -19,6 +19,17 @@ Gram matrix is never built: SMO touches only the rows of the coordinates it
 selects.  A fit's optimality is judged, not assumed: the KKT residual at
 exit is kept as ``kkt_residual_`` and a fit that stops above ``tol`` logs a
 warning.
+
+Inference scores a batch in row blocks of about ``_BLOCK_ENTRIES`` kernel
+entries (256 KiB, sized to L2), each with the training path's distance and
+exp arithmetic followed by one small ``block @ alpha`` product that runs on
+the calling thread.  Kernel entries with ``gamma * ||x - s||^2 >=
+_UNDERFLOW_CUT`` are set to exactly 0 instead of being passed to ``np.exp``:
+they are below 1e-304, so with ``sum(alpha) = 1`` a score moves by at most
+1e-304, while ``np.exp`` leaves its SIMD path near -708 and spends 15-170 ns
+per entry on results that round to 0 or are subnormal.  Devices from another
+lot lie far from the support vectors and hit that tail for many of their
+entries.
 """
 
 from __future__ import annotations
@@ -48,23 +59,35 @@ BOUNDARY_TOL = 1e-12
 #: selection (libsvm's ``TAU``): near-duplicate points have ``a_ij ~ 0``.
 _MIN_CURVATURE = 1e-12
 
+#: Kernel entries per inference block: 256 KiB fits L2 and keeps the GEMM unthreaded.
+_BLOCK_ENTRIES = 32_768
 
-def _rbf_against(points: np.ndarray, anchors: np.ndarray,
-                 anchor_sq_norms: np.ndarray, gamma: float) -> np.ndarray:
-    """RBF kernel block between ``points`` and ``anchors``.
+#: gamma * ||x - s||^2 from which a kernel entry is 0: e^-700 < 1e-304; np.exp slows past -708.
+_UNDERFLOW_CUT = 700.0
+
+
+def _sq_dists_against(points: np.ndarray, anchors: np.ndarray,
+                      anchor_sq_norms: np.ndarray) -> np.ndarray:
+    """Squared distances between ``points`` and ``anchors``.
 
     ``anchor_sq_norms`` is the ``(1, m)`` row of the anchors' squared norms,
     computed once by the caller.  The arithmetic mirrors
-    :func:`~repro.stats.kernels.pairwise_sq_dists` followed by
-    :func:`~repro.stats.kernels.rbf_from_sq_dists` operation for operation.
+    :func:`~repro.stats.kernels.pairwise_sq_dists` operation for operation.
     """
     x_norm = np.sum(points**2, axis=1)[:, None]
     prod = points @ anchors.T
     prod *= 2.0
     sq = x_norm + anchor_sq_norms
     np.subtract(sq, prod, out=sq)
-    np.maximum(sq, 0.0, out=sq)
-    return rbf_from_sq_dists(sq, gamma)
+    return np.maximum(sq, 0.0, out=sq)
+
+
+def _rbf_against(points: np.ndarray, anchors: np.ndarray,
+                 anchor_sq_norms: np.ndarray, gamma: float) -> np.ndarray:
+    """RBF kernel block between ``points`` and ``anchors``, as
+    :func:`~repro.stats.kernels.rbf_kernel` computes it."""
+    return rbf_from_sq_dists(_sq_dists_against(points, anchors, anchor_sq_norms),
+                             gamma)
 
 
 class OneClassSvm:
@@ -293,32 +316,39 @@ class OneClassSvm:
     # inference
     # ------------------------------------------------------------------
 
-    def _kernel_against_support(self, points: np.ndarray) -> np.ndarray:
-        """RBF kernel block between ``points`` and the support vectors.
-
-        The support vectors are immutable once fitted, so their squared
-        norms are computed once and shared across every scoring call: a
-        batch of devices costs one GEMM against the support set instead of
-        re-deriving the full distance decomposition per call.  The
-        arithmetic mirrors :func:`~repro.stats.kernels.pairwise_sq_dists`
-        operation for operation, so scores are bit-identical to the
-        uncached path.
-        """
-        if self._sv_sq_norms is None:
-            self._sv_sq_norms = np.sum(self.support_vectors_**2, axis=1)[None, :]
-        return _rbf_against(points, self.support_vectors_, self._sv_sq_norms,
-                            self.effective_gamma_)
-
     def decision_function(self, points) -> np.ndarray:
-        """Signed distance-like score; >= 0 means inside the trusted region."""
+        """Signed distance-like score; >= 0 means inside the trusted region.
+
+        The batch is scored in row blocks of about ``_BLOCK_ENTRIES`` kernel
+        entries against the support vectors, whose squared norms are
+        computed once per fitted model.  Each block repeats the training
+        path's distance and exp arithmetic, except that entries with
+        ``gamma * ||x - s||^2 >= _UNDERFLOW_CUT`` are exactly 0, which moves
+        a score by at most 1e-304.
+        """
         self._check_fitted()
         points = check_2d(points, "points")
-        if points.shape[1] != self.support_vectors_.shape[1]:
+        support = self.support_vectors_
+        if points.shape[1] != support.shape[1]:
             raise ValueError(
                 f"points have {points.shape[1]} features, SVM was fitted on "
-                f"{self.support_vectors_.shape[1]}"
+                f"{support.shape[1]}"
             )
-        return self._kernel_against_support(points) @ self.dual_coefs_ - self.rho_
+        if self._sv_sq_norms is None:
+            self._sv_sq_norms = np.sum(support**2, axis=1)[None, :]
+        rows = max(1, _BLOCK_ENTRIES // support.shape[0])
+        scores = np.empty(points.shape[0])
+        for start in range(0, points.shape[0], rows):
+            block = _sq_dists_against(points[start:start + rows], support,
+                                      self._sv_sq_norms)
+            block *= -self.effective_gamma_
+            cut = block <= -_UNDERFLOW_CUT
+            np.maximum(block, -_UNDERFLOW_CUT, out=block)
+            np.exp(block, out=block)
+            block[cut] = 0.0
+            scores[start:start + rows] = block @ self.dual_coefs_
+        scores -= self.rho_
+        return scores
 
     def predict_inside(self, points) -> np.ndarray:
         """Boolean array: True where a point falls inside the trusted region.

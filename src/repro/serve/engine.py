@@ -73,13 +73,17 @@ class ScoreResult:
     n_devices: int
 
     def to_json(self) -> dict:
-        """JSON-ready representation (the HTTP response body)."""
+        """JSON-ready representation (the HTTP response body).
+
+        ``tolist`` converts to Python ``bool``/``float`` in C; the encoded
+        body is byte-identical to per-element conversion.
+        """
         return {
             "n_devices": self.n_devices,
             "boundaries": {
                 name: {
-                    "trojan_free": [bool(v) for v in self.verdicts[name]],
-                    "scores": [float(s) for s in self.scores[name]],
+                    "trojan_free": self.verdicts[name].tolist(),
+                    "scores": self.scores[name].tolist(),
                 }
                 for name in self.scores
             },

@@ -18,7 +18,10 @@ computes — and the oracles here *are* that formulation:
   n x n Gram matrix with maximal-violating-pair working-set selection.
   Unlike the other oracles it is not bitwise equal to production (the
   second-order selection takes a different path to the optimum); the two
-  agree to the solver tolerance.
+  agree to the solver tolerance;
+* :func:`dense_decision_function` scores a batch with one dense kernel
+  pass over every device and support vector, with no row blocks and no
+  underflow cut.
 
 The loop oracles mirror the production signatures, so a test can
 monkeypatch them over ``FingerprintCampaign.measure_population`` and
@@ -196,3 +199,14 @@ class DenseMvpOneClassSvm(OneClassSvm):
         else:
             capped = True
         self._store_solution(data, alpha, gradient, gamma, c_bound, iterations, capped)
+
+
+def dense_decision_function(svm, points):
+    """``svm.decision_function(points)`` as one dense kernel pass.
+
+    Every kernel entry goes through ``np.exp``, underflow tail included,
+    and the whole ``(n, m)`` kernel meets the dual coefficients in one
+    product.
+    """
+    sq = pairwise_sq_dists(np.asarray(points, dtype=float), svm.support_vectors_)
+    return rbf_from_sq_dists(sq, svm.effective_gamma_) @ svm.dual_coefs_ - svm.rho_

@@ -1,5 +1,6 @@
 """One-class SVM: ν-property, boundary behaviour, SMO convergence."""
 
+import copy
 import logging
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.learn.ocsvm import OneClassSvm
-from repro.stats.kernels import rbf_kernel
+from repro.learn.ocsvm import BOUNDARY_TOL, _BLOCK_ENTRIES, OneClassSvm
+from repro.stats.kernels import pairwise_sq_dists, rbf_kernel
 
 
 @pytest.fixture()
@@ -184,3 +185,97 @@ class TestKktOptimality:
         assert fit_span.attributes["kkt_residual"] == model.kkt_residual_
         assert fit_span.attributes["converged"] is True
         assert snapshot["histograms"]["ocsvm.kkt_residual"]["count"] == 1
+
+
+@pytest.fixture(scope="module")
+def probe_svm():
+    return OneClassSvm(nu=0.1, gamma=0.5, seed=0).fit(
+        np.random.default_rng(3).standard_normal((300, 4))
+    )
+
+
+def _probe_points(svm, probes):
+    """One point per ``(seed, t)`` at scaled distance ``t`` from a random SV.
+
+    ``gamma * ||x - s_j||^2 = t`` up to rounding for the drawn support
+    vector ``s_j``; the other support vectors lie a few units away, so a
+    probe near ``t = 720`` puts many kernel entries in the 700-746 band.
+    """
+    support = svm.support_vectors_
+    points = np.empty((len(probes), support.shape[1]))
+    for row, (seed, t) in enumerate(probes):
+        rng = np.random.default_rng(seed)
+        direction = rng.standard_normal(support.shape[1])
+        direction /= np.linalg.norm(direction)
+        anchor = support[rng.integers(support.shape[0])]
+        points[row] = anchor + direction * np.sqrt(t / svm.effective_gamma_)
+    return points
+
+
+class TestBlockedInference:
+    """Row blocks and the underflow cut are invisible in the scores."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(0, 2**32 - 1),
+                  st.one_of(st.floats(0.0, 1500.0), st.floats(700.0, 746.0))),
+        min_size=1, max_size=64,
+    ))
+    def test_scores_match_dense_kernel(self, probe_svm, probes):
+        svm = probe_svm
+        points = _probe_points(svm, probes)
+        kernel_sums = (rbf_kernel(points, svm.support_vectors_, svm.effective_gamma_)
+                       @ svm.dual_coefs_)
+        dense = kernel_sums - svm.rho_
+        scores = svm.decision_function(points)
+        np.testing.assert_allclose(scores, dense, rtol=0, atol=1e-300)
+        np.testing.assert_array_equal(scores >= 0.0, dense >= 0.0)
+        np.testing.assert_array_equal(svm.predict_inside(points),
+                                      dense >= -BOUNDARY_TOL)
+        # Subtracting rho rounds the tail away; with rho = 0 the bound
+        # applies to the kernel sums themselves.
+        unshifted = copy.copy(svm)
+        unshifted.rho_ = 0.0
+        np.testing.assert_allclose(unshifted.decision_function(points), kernel_sums,
+                                   rtol=0, atol=1e-300)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n_blocks=st.integers(2, 4),
+        extra=st.integers(0, 200),
+        split_block=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_at_block_boundary(self, probe_svm, n_blocks, extra, split_block,
+                                     seed):
+        svm = probe_svm
+        rows = _BLOCK_ENTRIES // svm.support_vectors_.shape[0]
+        rng = np.random.default_rng(seed)
+        n = n_blocks * rows + extra
+        points = _probe_points(svm, list(zip(rng.integers(0, 2**32, n),
+                                              rng.uniform(0.0, 1500.0, n))))
+        split = min(split_block, n_blocks - 1) * rows
+        whole = svm.decision_function(points)
+        parts = np.concatenate([svm.decision_function(points[:split]),
+                                svm.decision_function(points[split:])])
+        np.testing.assert_array_equal(whole, parts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=16),
+        t=st.floats(746.5, 5000.0),
+    )
+    def test_far_device_scores_minus_rho(self, probe_svm, seeds, t):
+        svm = probe_svm
+        support = svm.support_vectors_
+        center = support.mean(axis=0)
+        reach = np.sqrt(t / svm.effective_gamma_) + np.linalg.norm(
+            support - center, axis=1).max()
+        points = np.empty((len(seeds), support.shape[1]))
+        for row, seed in enumerate(seeds):
+            direction = np.random.default_rng(seed).standard_normal(support.shape[1])
+            points[row] = center + reach * direction / np.linalg.norm(direction)
+        scaled = svm.effective_gamma_ * pairwise_sq_dists(points, support)
+        assert scaled.min() > 746.0
+        scores = svm.decision_function(points)
+        assert np.all(scores == -svm.rho_)

@@ -12,7 +12,9 @@ tests pin them against slow-but-obviously-correct references:
   frozen reference solution (rho, gamma, support set) on a fixed
   fingerprint-sized problem, and the production solver must reach the
   same optimum to its tolerance, so any future "optimization" that changes
-  the optimum is caught immediately.
+  the optimum is caught immediately;
+* the blocked one-class SVM scoring must equal one dense kernel pass bit
+  for bit on calibrated lots and on a far screening lot.
 """
 
 import numpy as np
@@ -23,14 +25,14 @@ from repro.core.config import DetectorConfig
 from repro.core.pipeline import BOUNDARY_NAMES
 from repro.experiments.platformcfg import PlatformConfig, generate_experiment_data
 from repro.experiments.table1 import run_table1
-from repro.learn.ocsvm import OneClassSvm
+from repro.learn.ocsvm import _BLOCK_ENTRIES, OneClassSvm
 from repro.stats.kde import (
     AdaptiveKde,
     EpanechnikovKde,
     _sample_unit_epanechnikov,
     unit_ball_volume,
 )
-from tests.oracles import DenseMvpOneClassSvm
+from tests.oracles import DenseMvpOneClassSvm, dense_decision_function
 
 
 def _loop_density(kde, points):
@@ -225,3 +227,51 @@ class TestOcsvmDisplayLot:
                 oracle.boundaries[name].decision_scores(data.dutt_fingerprints),
                 rtol=0, atol=1e-6, err_msg=name,
             )
+
+
+def _calibrate(data):
+    return run_table1(detector_config=DetectorConfig(kde_samples=30_000, seed=11),
+                      data=data).detector
+
+
+def _assert_dense_scores(detector, fingerprints):
+    for name in BOUNDARY_NAMES:
+        region = detector.boundaries[name]
+        np.testing.assert_array_equal(
+            region.decision_scores(fingerprints),
+            dense_decision_function(region.svm, region.whitener.transform(fingerprints)),
+            err_msg=name,
+        )
+
+
+class TestBlockedScoringMatchesDenseOracle:
+    """Blocked scoring with the underflow cut equals one dense kernel pass."""
+
+    @pytest.fixture(scope="class")
+    def display_lot(self):
+        data = generate_experiment_data(PlatformConfig(seed=16))
+        return data, _calibrate(data)
+
+    def test_display_lot(self, display_lot):
+        data, display_detector = display_lot
+        _assert_dense_scores(display_detector, data.dutt_fingerprints)
+        # The fit side is untouched: SMO effort and support sets as before.
+        svms = [region.svm for region in display_detector.boundaries.values()]
+        assert sum(svm.n_iterations_ for svm in svms) == 686
+        assert sum(svm.support_vectors_.shape[0] for svm in svms) == 296
+
+    @pytest.mark.parametrize("platform_seed", [33, 39])
+    def test_cross_lot_dutts(self, platform_seed):
+        data = generate_experiment_data(PlatformConfig(seed=platform_seed))
+        _assert_dense_scores(_calibrate(data), data.dutt_fingerprints)
+
+    def test_far_screening_lot(self, display_lot):
+        _, display_detector = display_lot
+        # The lot the screening benchmark serves: far from the display
+        # lot's support vectors, so much of B5's kernel is underflow tail.
+        lot = generate_experiment_data(PlatformConfig(seed=10_000, n_chips=342))
+        devices = lot.dutt_fingerprints.shape[0]
+        for name in ("B2", "B5"):
+            n_support = display_detector.boundaries[name].svm.support_vectors_.shape[0]
+            assert devices > _BLOCK_ENTRIES // n_support, name
+        _assert_dense_scores(display_detector, lot.dutt_fingerprints)

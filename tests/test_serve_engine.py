@@ -8,6 +8,7 @@ FIFO backpressure, clean shutdown).
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -19,6 +20,7 @@ from repro.serve.engine import (
     BatchingEngine,
     QueueFullError,
     RequestValidationError,
+    ScoreResult,
     ScoringEngine,
 )
 
@@ -132,6 +134,21 @@ class TestScoring:
         block = payload["boundaries"]["B5"]
         assert block["scores"] == [float(s) for s in result.scores["B5"]]
         assert block["trojan_free"] == [bool(v) for v in result.verdicts["B5"]]
+
+    def test_json_body_matches_per_element_conversion(self):
+        scores = np.array([0.5, -0.25, 1e-300, -1e-300, 5e-324, 0.0, -0.0,
+                           0.1, 1.0 / 3.0, -123456.789])
+        verdicts = scores >= 0.0
+        result = ScoreResult(scores={"B5": scores}, verdicts={"B5": verdicts},
+                             n_devices=scores.shape[0])
+        elementwise = {
+            "n_devices": scores.shape[0],
+            "boundaries": {"B5": {
+                "trojan_free": [bool(v) for v in verdicts],
+                "scores": [float(s) for s in scores],
+            }},
+        }
+        assert json.dumps(result.to_json()) == json.dumps(elementwise)
 
     def test_metrics_are_recorded(self, fitted_detector, experiment_data):
         engine = ScoringEngine(fitted_detector)
