@@ -64,15 +64,15 @@ def run_load(url: str, batch: np.ndarray, clients: int, duration: float,
     stop_at = time.perf_counter() + duration
 
     def client_loop():
-        client = ScoringClient(url, timeout=60.0)
         local_latencies = []
         local_devices = 0
         try:
-            while time.perf_counter() < stop_at:
-                start = time.perf_counter()
-                result = client.score(batch, boundaries=boundaries)
-                local_latencies.append(time.perf_counter() - start)
-                local_devices += result.n_devices
+            with ScoringClient(url, timeout=60.0) as client:
+                while time.perf_counter() < stop_at:
+                    start = time.perf_counter()
+                    result = client.score(batch, boundaries=boundaries)
+                    local_latencies.append(time.perf_counter() - start)
+                    local_devices += result.n_devices
         except BaseException as error:
             with lock:
                 errors.append(error)
@@ -124,8 +124,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "default: all five)")
     parser.add_argument("--max-batch", type=int, default=256,
                         help="server-side micro-batch size cap")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="server-side straggler window")
     parser.add_argument("--min-throughput", type=float, default=None,
                         help="exit 1 when devices/s lands below this gate")
     parser.add_argument("--output", type=str, default=None,
@@ -138,9 +136,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as scratch:
         bundle_path = os.path.join(scratch, "detector.npz")
         export_bundle(detector, bundle_path)
-        with DetectorServer(bundle_path, port=0, max_batch=args.max_batch,
-                            max_wait_ms=args.max_wait_ms) as server:
-            ScoringClient(server.url).wait_ready()
+        with DetectorServer(bundle_path, port=0,
+                            max_batch=args.max_batch) as server:
+            with ScoringClient(server.url) as probe:
+                probe.wait_ready()
             if args.warmup > 0:
                 run_load(server.url, batch, args.clients, args.warmup,
                          boundaries=args.boundary)
@@ -153,7 +152,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "duration_s": args.duration,
         "boundaries": args.boundary or ["B1", "B2", "B3", "B4", "B5"],
         "max_batch": args.max_batch,
-        "max_wait_ms": args.max_wait_ms,
     }
     print(f"{report['requests']} requests, {report['devices']} devices "
           f"in {report['elapsed_s']:.2f} s")

@@ -43,8 +43,8 @@ def main() -> None:
 
         # 2. Production test: serve the bundle over HTTP.  port=0 picks a
         # free port; micro-batching coalesces concurrent requests.
-        with DetectorServer(restored, port=0) as server:
-            client = ScoringClient(server.url)
+        with DetectorServer(restored, port=0) as server, \
+                ScoringClient(server.url) as client:
             client.wait_ready()
             print(f"serving at {server.url}")
 

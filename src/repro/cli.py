@@ -210,7 +210,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         max_queue=args.max_queue,
     )
     summary = server.bundle_summary()
@@ -239,9 +238,8 @@ def _cmd_score(args) -> int:
     if args.url:
         from repro.serve.client import ScoringClient
 
-        result = ScoringClient(args.url).score(
-            data.dutt_fingerprints, boundaries=boundaries
-        )
+        with ScoringClient(args.url) as client:
+            result = client.score(data.dutt_fingerprints, boundaries=boundaries)
         source = args.url
     else:
         from repro.serve.bundle import load_bundle
@@ -377,10 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-batch", type=int, default=256,
         help="devices per micro-batch scoring pass",
-    )
-    serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="micro-batch straggler window in milliseconds",
     )
     serve.add_argument(
         "--max-queue", type=int, default=1024,

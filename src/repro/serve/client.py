@@ -1,4 +1,4 @@
-"""Typed Python client for the screening service (stdlib ``urllib`` only).
+"""Typed Python client for the screening service (stdlib ``http.client`` only).
 
 Used by the test suite, the load generator and the ``repro.cli score``
 command; doubles as executable documentation of the wire format::
@@ -9,21 +9,37 @@ command; doubles as executable documentation of the wire format::
     result.verdicts["B5"]        # boolean array, True = Trojan-free
     client.metrics()["counters"]["serve.devices_scored"]
 
+A client keeps one HTTP/1.1 keep-alive connection and sends every request
+on it, so a one-device screening request costs no TCP handshake.  A lock
+serializes requests, so one instance can be shared between threads (they
+then take turns on the connection; give each thread its own client to
+send in parallel).  When the server has closed a reused connection before
+any byte of the response arrived, the request is sent once more on a new
+connection: scoring is a pure function, so the retry is safe.  Any other
+failure, a timeout included, drops the connection, so a late reply can
+never be read as the answer to the next request.
+
 Errors come back as :class:`ServerError` carrying the HTTP status and the
 server's structured ``{"code", "message"}`` error body.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Iterable, Optional
+import urllib.parse
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.serve.engine import ScoreResult
+
+#: Failures that mean the server closed a kept-alive connection before it
+#: answered: the request went nowhere and can be sent again.
+_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError,
+                     ConnectionAbortedError, BrokenPipeError)
 
 
 class ServerError(RuntimeError):
@@ -50,6 +66,26 @@ class ScoringClient:
     def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = float(timeout)
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"expected an http://host[:port] URL, "
+                             f"got {base_url!r}")
+        self._prefix = parts.path
+        self._connection = http.client.HTTPConnection(
+            parts.hostname, parts.port, timeout=self.timeout
+        )
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the kept-alive connection (the next request reopens one)."""
+        with self._lock:
+            self._connection.close()
+
+    def __enter__(self) -> "ScoringClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # transport
@@ -62,25 +98,44 @@ class ScoringClient:
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=body, headers=headers, method=method
-        )
+        with self._lock:
+            status, reason, data = self._exchange(
+                method, self._prefix + path, body, headers
+            )
+        if status >= 400:
+            raise self._to_server_error(status, reason, data)
+        return json.loads(data.decode("utf-8"))
+
+    def _exchange(self, method: str, path: str, body: Optional[bytes],
+                  headers: dict) -> Tuple[int, str, bytes]:
+        """One request/response on the kept-alive connection (lock held)."""
+        connection = self._connection
+        reused = connection.sock is not None
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as reply:
-                return json.loads(reply.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            raise self._to_server_error(error)
+            try:
+                connection.request(method, path, body=body, headers=headers)
+                reply = connection.getresponse()
+            except _STALE_CONNECTION:
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(method, path, body=body, headers=headers)
+                reply = connection.getresponse()
+            return reply.status, reply.reason, reply.read()
+        except BaseException:
+            connection.close()
+            raise
 
     @staticmethod
-    def _to_server_error(error: urllib.error.HTTPError) -> ServerError:
-        code, message = "unknown", error.reason
+    def _to_server_error(status: int, reason: str, data: bytes) -> ServerError:
+        code, message = "unknown", reason
         try:
-            parsed = json.loads(error.read().decode("utf-8"))
+            parsed = json.loads(data.decode("utf-8"))
             code = parsed["error"]["code"]
             message = parsed["error"]["message"]
         except Exception:
             pass
-        return ServerError(error.code, code, message)
+        return ServerError(status, code, message)
 
     # ------------------------------------------------------------------
     # endpoints
@@ -106,7 +161,7 @@ class ScoringClient:
             try:
                 if self.ready():
                     return
-            except (urllib.error.URLError, ConnectionError, OSError):
+            except (OSError, http.client.HTTPException):
                 pass
             time.sleep(interval)
         raise TimeoutError(f"server at {self.base_url} not ready "

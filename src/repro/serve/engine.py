@@ -13,13 +13,14 @@ Two layers, both thread-safe:
   support-vector norms).
 
 * :class:`BatchingEngine` — the asynchronous front.  Requests queue into a
-  bounded, arrival-ordered (FIFO — no request can starve) queue; a worker
-  thread drains up to ``max_batch`` devices per wake-up, waiting at most
-  ``max_wait_ms`` for stragglers, stacks them into one array and scores
-  them in a single engine pass, so per-device overhead amortizes across
-  concurrent clients.  When the queue is full, ``submit`` fails immediately
-  with :class:`QueueFullError` — explicit 429-style backpressure instead of
-  unbounded buffering.
+  bounded, arrival-ordered (FIFO — no request can starve) queue.  The
+  worker thread is work-conserving: whenever it is free it takes whatever
+  is queued, up to ``max_batch`` devices, stacks it into one array and
+  scores it in a single engine pass.  It never waits for stragglers; the
+  requests that arrive while one batch is scoring form the next, so
+  per-device overhead still amortizes across concurrent clients.  When the
+  queue is full, ``submit`` fails immediately with :class:`QueueFullError`
+  — explicit 429-style backpressure instead of unbounded buffering.
 
 The engine owns a private :class:`repro.obs.metrics.MetricsRegistry`
 (``serve.requests``, ``serve.devices_scored``, the ``serve.batch_size`` and
@@ -268,7 +269,8 @@ class BatchingEngine:
 
     ``submit`` validates immediately (a malformed request must never poison
     a batch), enqueues, and blocks until the worker thread has scored the
-    request as part of a micro-batch.  Requests sharing a boundary subset
+    request as part of a micro-batch.  A batch is whatever queued while
+    the previous one was scoring; requests in it sharing a boundary subset
     are stacked into one array and scored in a single vectorized pass.
 
     Parameters
@@ -277,9 +279,6 @@ class BatchingEngine:
         The synchronous scoring engine.
     max_batch:
         Maximum devices drained into one scoring pass.
-    max_wait_ms:
-        How long the worker waits for stragglers after the first queued
-        request before closing the batch.
     max_queue:
         Bound on queued requests; beyond it ``submit`` raises
         :class:`QueueFullError` immediately.
@@ -289,18 +288,14 @@ class BatchingEngine:
         self,
         engine: ScoringEngine,
         max_batch: int = 256,
-        max_wait_ms: float = 2.0,
         max_queue: int = 1024,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be positive, got {max_queue}")
         self.engine = engine
         self.max_batch = int(max_batch)
-        self.max_wait_ms = float(max_wait_ms)
         self.max_queue = int(max_queue)
         self._queue: deque = deque()
         self._lock = threading.Lock()
@@ -361,24 +356,16 @@ class BatchingEngine:
     # ------------------------------------------------------------------
 
     def _drain_batch(self) -> List[_PendingRequest]:
-        """Collect up to ``max_batch`` devices, FIFO, waiting for stragglers."""
-        with self._lock:
-            while not self._queue and not self._closed:
-                self._wakeup.wait()
-            if self._closed and not self._queue:
-                return []
-        # Straggler window: let concurrent submitters land in this batch.
-        if self.max_wait_ms > 0:
-            deadline = time.monotonic() + self.max_wait_ms / 1e3
-            while time.monotonic() < deadline:
-                with self._lock:
-                    devices = sum(r.fingerprints.shape[0] for r in self._queue)
-                    if devices >= self.max_batch or self._closed:
-                        break
-                time.sleep(min(0.0005, self.max_wait_ms / 1e3))
+        """Wait for queued work, then take up to ``max_batch`` devices, FIFO.
+
+        Returns an empty list only once the engine is closed and drained.
+        A request larger than ``max_batch`` is taken alone.
+        """
         batch: List[_PendingRequest] = []
         devices = 0
         with self._lock:
+            while not self._queue and not self._closed:
+                self._wakeup.wait()
             while self._queue:
                 request = self._queue[0]
                 size = request.fingerprints.shape[0]
@@ -393,10 +380,7 @@ class BatchingEngine:
         while True:
             batch = self._drain_batch()
             if not batch:
-                with self._lock:
-                    if self._closed and not self._queue:
-                        return
-                continue
+                return
             self._score_batch(batch)
 
     def _score_batch(self, batch: List[_PendingRequest]) -> None:

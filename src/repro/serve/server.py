@@ -17,19 +17,34 @@ Endpoints
     ``503`` otherwise.
 ``GET /metricz``
     JSON snapshot of the engine's metrics registry (``serve.requests``,
-    ``serve.devices_scored``, ``serve.batch_size`` / ``serve.latency_ms``
-    histograms, ``serve.queue_depth`` gauge, per-boundary verdict
-    counters) plus bundle identity (digest, schema version, boundaries).
+    ``serve.devices_scored``, ``serve.connections`` accepted,
+    ``serve.batch_size`` / ``serve.latency_ms`` histograms,
+    ``serve.queue_depth`` gauge, per-boundary verdict counters) plus
+    bundle identity (digest, schema version, boundaries).
 
 Built on :class:`http.server.ThreadingHTTPServer` — one thread per
 connection feeding the shared :class:`~repro.serve.engine.BatchingEngine`,
 which is where concurrent requests coalesce into vectorized batches.
+Connections are HTTP/1.1 keep-alive: a client sends request after request
+on one socket, so a screening request pays no TCP handshake and no thread
+start.  Nagle's algorithm is off on every connection; with it, the
+response body, written after the headers, would wait on the client's
+delayed ACK (about 40 ms).  A request answered before its body is read
+(404, 503, 413, missing body) has the body drained when its
+``Content-Length`` is known and bounded; otherwise the response carries
+``Connection: close``, so unread bytes are never parsed as the next
+request, and the server discards what the client still sends for up to
+``_LINGER_S`` before it closes (a close with unread input resets the
+connection and can destroy the response).  A connection idle for ``KEEPALIVE_IDLE_S`` is closed, and
+``DetectorServer.stop`` closes every open one.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterable, Optional
 
@@ -43,6 +58,14 @@ from repro.serve.engine import (
 
 #: Reject request bodies beyond this size before reading them fully.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Close a keep-alive connection after this many seconds without a request,
+#: so an abandoned client does not hold a server thread forever.
+KEEPALIVE_IDLE_S = 60.0
+#: Read size when discarding the body of a request answered early.
+_DRAIN_CHUNK = 64 * 1024
+#: How long a connection closed with its request body unread keeps
+#: discarding input after the response (see ``_Handler._linger``).
+_LINGER_S = 2.0
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -50,24 +73,84 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = KEEPALIVE_IDLE_S
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
 
+    def setup(self) -> None:
+        super().setup()
+        self.server.track_connection(self.connection)
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self.server.untrack_connection(self.connection)
+
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging is the metrics registry's job
 
-    def _send_json(self, status: int, payload: dict) -> None:
+    def _send_json(self, status: int, payload: dict,
+                   close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_json(self, status: int, code: str, message: str) -> None:
-        self._send_json(status, {"error": {"code": code, "message": message}})
+    def _send_error_json(self, status: int, code: str, message: str,
+                         close: bool = False) -> None:
+        self._send_json(status, {"error": {"code": code, "message": message}},
+                        close=close)
+
+    def _content_length(self) -> Optional[int]:
+        """The declared body size; None when absent, malformed or negative."""
+        try:
+            length = int(self.headers.get("Content-Length", ""))
+        except ValueError:
+            return None
+        return length if length >= 0 else None
+
+    def _reject_unread(self, length: Optional[int], status: int, code: str,
+                       message: str) -> None:
+        """Answer a request whose body was not read.
+
+        The body is discarded when its length is known and bounded, which
+        keeps the connection usable; otherwise the connection is closed.
+        """
+        drainable = length is not None and length <= MAX_BODY_BYTES
+        remaining = length if drainable else -1
+        while remaining > 0:
+            chunk = self.rfile.read(min(remaining, _DRAIN_CHUNK))
+            if not chunk:
+                break
+            remaining -= len(chunk)
+        self._send_error_json(status, code, message, close=remaining != 0)
+        if remaining != 0:
+            self._linger()
+
+    def _linger(self) -> None:
+        """Half-close after the response, then discard input for a while.
+
+        Closing a socket that still holds unread input makes the kernel
+        send a reset, which can destroy the response before the client,
+        perhaps still sending its body, reads it.
+        """
+        deadline = time.monotonic() + _LINGER_S
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while (left := deadline - time.monotonic()) > 0:
+                self.connection.settimeout(left)
+                if not self.connection.recv(_DRAIN_CHUNK):
+                    break
+        except OSError:
+            pass
 
     # ------------------------------------------------------------------
     # routes
@@ -88,23 +171,21 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(404, "not_found", f"no route {self.path!r}")
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        length = self._content_length()
         if self.path != "/v1/score":
-            self._send_error_json(404, "not_found", f"no route {self.path!r}")
+            self._reject_unread(length, 404, "not_found",
+                                f"no route {self.path!r}")
             return
         if not self.server.ready():
-            self._send_error_json(503, "not_ready", "no bundle loaded")
+            self._reject_unread(length, 503, "not_ready", "no bundle loaded")
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length <= 0:
-            self._send_error_json(400, "empty_body", "request body required")
+        if not length:
+            self._reject_unread(length, 400, "empty_body",
+                                "request body required")
             return
         if length > MAX_BODY_BYTES:
-            self._send_error_json(
-                413, "too_large", f"request body exceeds {MAX_BODY_BYTES} bytes"
-            )
+            self._reject_unread(length, 413, "too_large",
+                                f"request body exceeds {MAX_BODY_BYTES} bytes")
             return
         try:
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
@@ -151,7 +232,7 @@ class DetectorServer(ThreadingHTTPServer):
         :class:`~repro.serve.bundle.LoadedBundle`.
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (see ``.port``).
-    max_batch / max_wait_ms / max_queue:
+    max_batch / max_queue:
         Micro-batching knobs, passed to the :class:`BatchingEngine`.
     max_request_devices:
         Per-request device cap of the underlying :class:`ScoringEngine`.
@@ -166,7 +247,6 @@ class DetectorServer(ThreadingHTTPServer):
         port: int = 0,
         default_boundaries: Optional[Iterable[str]] = None,
         max_batch: int = 256,
-        max_wait_ms: float = 2.0,
         max_queue: int = 1024,
         max_request_devices: Optional[int] = None,
     ):
@@ -181,10 +261,11 @@ class DetectorServer(ThreadingHTTPServer):
             **engine_kwargs,
         )
         self.batcher = BatchingEngine(
-            self.engine, max_batch=max_batch, max_wait_ms=max_wait_ms,
-            max_queue=max_queue,
+            self.engine, max_batch=max_batch, max_queue=max_queue,
         )
         self._thread: Optional[threading.Thread] = None
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
         super().__init__((host, port), _Handler)
 
     # ------------------------------------------------------------------
@@ -214,6 +295,23 @@ class DetectorServer(ThreadingHTTPServer):
         snapshot["bundle"] = self.bundle_summary()
         return snapshot
 
+    def track_connection(self, connection: socket.socket) -> None:
+        """Register an open client connection (closed by ``stop``)."""
+        self.engine.registry.counter("serve.connections").inc()
+        with self._connections_lock:
+            self._connections.add(connection)
+
+    def untrack_connection(self, connection: socket.socket) -> None:
+        """Forget a connection its handler has finished with."""
+        with self._connections_lock:
+            self._connections.discard(connection)
+
+    @property
+    def open_connections(self) -> int:
+        """Number of client connections currently held open."""
+        with self._connections_lock:
+            return len(self._connections)
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -240,9 +338,20 @@ class DetectorServer(ThreadingHTTPServer):
         return self
 
     def stop(self) -> None:
-        """Shut down the listener and the batching worker."""
+        """Shut down the listener, the open connections and the batcher.
+
+        Connections are shut for reading only: an idle handler sees end of
+        input and exits, while one mid-request still sends its response.
+        """
         self.shutdown()
         self.server_close()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
         self.batcher.close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

@@ -165,6 +165,58 @@ class TestScoring:
             assert passed + flagged == n
 
 
+class _HeldEngine(ScoringEngine):
+    """Records every scoring pass and holds the first until released."""
+
+    def __init__(self, detector):
+        super().__init__(detector)
+        self.calls: list = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def score(self, fingerprints, boundaries=None):
+        self.calls.append((len(fingerprints), tuple(boundaries)))
+        self.entered.set()
+        assert self.release.wait(timeout=10), "held batch never released"
+        return super().score(fingerprints, boundaries)
+
+
+def _queue_while_held(batcher, engine, requests):
+    """Queue ``requests`` in order while a one-device batch is held, then
+    release the worker; returns each request's result, in order."""
+    results = [None] * len(requests)
+    errors: list = []
+
+    def submit(index, fingerprints, boundaries):
+        try:
+            results[index] = batcher.submit(fingerprints, boundaries=boundaries)
+        except BaseException as error:  # pragma: no cover - test plumbing
+            errors.append(error)
+
+    threads = []
+    first = threading.Thread(
+        target=lambda: batcher.submit(requests[0][0][:1]), daemon=True
+    )
+    first.start()
+    assert engine.entered.wait(timeout=10)
+    deadline = time.monotonic() + 10
+    for index, (fingerprints, boundaries) in enumerate(requests):
+        thread = threading.Thread(target=submit,
+                                  args=(index, fingerprints, boundaries))
+        thread.start()
+        threads.append(thread)
+        # Wait for this request to land so the queue order is known.
+        while batcher.queue_depth != index + 1:
+            assert time.monotonic() < deadline, "request never queued"
+            time.sleep(0.001)
+    engine.release.set()
+    for thread in [first, *threads]:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert not errors
+    return results
+
+
 class TestBatching:
     def test_submit_matches_direct_score(self, engine, experiment_data):
         fingerprints = experiment_data.dutt_fingerprints[:8]
@@ -174,59 +226,67 @@ class TestBatching:
         for name in BOUNDARY_NAMES:
             assert np.array_equal(batched.scores[name], direct.scores[name])
 
-    def test_concurrent_clients_get_their_own_slices(self, engine,
+    def test_concurrent_clients_get_their_own_slices(self, fitted_detector,
                                                      experiment_data):
-        """Coalesced batches must slice back to per-request results exactly."""
-        fingerprints = experiment_data.dutt_fingerprints
-        expected = engine.score(fingerprints)
-        chunks = [(i, fingerprints[i:i + 3]) for i in
-                  range(0, fingerprints.shape[0] - 2, 3)]
-        results: dict = {}
-        errors: list = []
-
-        def client(offset, block):
-            try:
-                results[offset] = batcher.submit(block)
-            except BaseException as error:  # pragma: no cover - test plumbing
-                errors.append(error)
-
-        with BatchingEngine(engine, max_batch=64, max_wait_ms=5.0) as batcher:
-            threads = [threading.Thread(target=client, args=chunk)
-                       for chunk in chunks]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        assert not errors
-        assert len(results) == len(chunks)
-        # Coalesced batches go through BLAS with a different stacked shape,
-        # which may perturb the last ULP — hence allclose, not array_equal.
-        for offset, result in results.items():
+        """Requests queued while a batch scores form the next batch, FIFO up
+        to ``max_batch`` devices, and slice back to per-request results."""
+        engine = _HeldEngine(fitted_detector)
+        fingerprints = experiment_data.dutt_fingerprints[:36]
+        blocks = [fingerprints[i:i + 3] for i in range(0, 36, 3)]
+        with BatchingEngine(engine, max_batch=16) as batcher:
+            results = _queue_while_held(batcher, engine,
+                                        [(block, None) for block in blocks])
+        # The held request, then FIFO batches of 5, 5 and 2 requests.
+        everything = tuple(BOUNDARY_NAMES)
+        assert engine.calls == [(1, everything), (15, everything),
+                                (15, everything), (6, everything)]
+        histogram = engine.metrics_snapshot()["histograms"]["serve.batch_size"]
+        assert (histogram["count"], histogram["total"]) == (4, 37)
+        # Each requester gets exactly its rows of the batch it was scored in.
+        reference = ScoringEngine(fitted_detector)
+        for first, last in ((0, 5), (5, 10), (10, 12)):
+            stacked = reference.score(np.concatenate(blocks[first:last]))
+            for k in range(first, last):
+                offset = 3 * (k - first)
+                for name in BOUNDARY_NAMES:
+                    assert np.array_equal(
+                        results[k].scores[name],
+                        stacked.scores[name][offset:offset + 3],
+                    ), f"{k}/{name}"
+        # ... which agree with scoring the request alone up to the last
+        # ULP: a stacked batch goes through BLAS with a different shape.
+        alone = reference.score(fingerprints)
+        for k, result in enumerate(results):
+            assert result.n_devices == 3
             for name in BOUNDARY_NAMES:
                 np.testing.assert_allclose(
-                    result.scores[name], expected.scores[name][offset:offset + 3],
-                    rtol=1e-9, atol=1e-12, err_msg=f"{offset}/{name}",
+                    result.scores[name],
+                    alone.scores[name][3 * k:3 * k + 3],
+                    rtol=1e-9, atol=1e-12, err_msg=f"{k}/{name}",
                 )
 
-    def test_mixed_boundary_subsets_in_one_batch(self, engine,
+    def test_mixed_boundary_subsets_in_one_batch(self, fitted_detector,
                                                  experiment_data):
+        """One drained batch scores once per boundary subset, and requests
+        sharing a subset are stacked even when not adjacent in the queue."""
+        engine = _HeldEngine(fitted_detector)
         fingerprints = experiment_data.dutt_fingerprints[:4]
-        subsets = [("B5",), ("B1", "B3"), None]
-        results = [None] * len(subsets)
-
-        def client(index, subset):
-            results[index] = batcher.submit(fingerprints, boundaries=subset)
-
-        with BatchingEngine(engine, max_wait_ms=5.0) as batcher:
-            threads = [threading.Thread(target=client, args=(i, s))
-                       for i, s in enumerate(subsets)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
+        subsets = [("B5",), ("B1", "B3"), None, ("B5",)]
+        with BatchingEngine(engine) as batcher:
+            results = _queue_while_held(
+                batcher, engine, [(fingerprints, s) for s in subsets]
+            )
+        assert engine.calls == [(1, tuple(BOUNDARY_NAMES)), (8, ("B5",)),
+                                (4, ("B1", "B3")), (4, tuple(BOUNDARY_NAMES))]
         assert set(results[0].scores) == {"B5"}
         assert set(results[1].scores) == {"B1", "B3"}
         assert set(results[2].scores) == set(BOUNDARY_NAMES)
+        assert set(results[3].scores) == {"B5"}
+        stacked = ScoringEngine(fitted_detector).score(
+            np.concatenate([fingerprints, fingerprints]), boundaries=["B5"]
+        )
+        assert np.array_equal(results[0].scores["B5"], stacked.scores["B5"][:4])
+        assert np.array_equal(results[3].scores["B5"], stacked.scores["B5"][4:])
 
     def test_invalid_request_rejected_before_queueing(self, engine):
         with BatchingEngine(engine) as batcher:
@@ -246,7 +306,7 @@ class TestBatching:
 
         engine = _WedgedEngine(fitted_detector)
         fingerprints = experiment_data.dutt_fingerprints[:2]
-        batcher = BatchingEngine(engine, max_wait_ms=0.0, max_queue=1)
+        batcher = BatchingEngine(engine, max_queue=1)
         try:
             first = threading.Thread(
                 target=lambda: batcher.submit(fingerprints), daemon=True
@@ -283,7 +343,5 @@ class TestBatching:
     def test_knob_validation(self, engine):
         with pytest.raises(ValueError, match="max_batch"):
             BatchingEngine(engine, max_batch=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            BatchingEngine(engine, max_wait_ms=-1)
         with pytest.raises(ValueError, match="max_queue"):
             BatchingEngine(engine, max_queue=0)
