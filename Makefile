@@ -13,10 +13,11 @@ smoke-obs:
 	$(PYTHON) -m pytest -q tests/test_obs_smoke.py
 
 # Serving smoke test: export a bundle, serve it over HTTP, score through
-# the client, and exercise the structured-error contract end to end.
+# the client, and exercise the structured-error contract end to end; check
+# that server start loads no scipy module (tests/test_import_graph.py).
 # The same files run as part of `make test` (they live in tests/).
 smoke-serve:
-	$(PYTHON) -m pytest -q tests/test_serve_bundle.py tests/test_serve_engine.py tests/test_serve_server.py
+	$(PYTHON) -m pytest -q tests/test_serve_bundle.py tests/test_serve_engine.py tests/test_serve_server.py tests/test_import_graph.py
 
 # Regression gate: fail when any component is >20% slower than the
 # committed baseline (benchmarks/BENCH_components.json), then check the

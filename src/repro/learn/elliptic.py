@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.validation import check_2d, check_probability
 
@@ -60,7 +59,10 @@ class EllipticEnvelope:
         eigvals = np.maximum(eigvals, floor)
         self._components = eigvecs.T
         self._inv_scales = 1.0 / np.sqrt(eigvals)
-        self.threshold_ = float(stats.chi2.ppf(1.0 - self.contamination, df=d))
+        # chi2.ppf(q, d) as scipy evaluates it, without importing scipy.stats.
+        from scipy.special import gammaincinv
+
+        self.threshold_ = float(2.0 * gammaincinv(d / 2.0, 1.0 - self.contamination))
         return self
 
     def _check_fitted(self):

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.stats.preprocessing import Whitener
 from repro.utils.rng import SeedLike, as_generator
@@ -58,6 +57,8 @@ class GpdTailEnhancer:
 
     def fit(self, data) -> "GpdTailEnhancer":
         """Fit the body/tail radial model on an ``(M, d)`` sample matrix."""
+        from scipy import stats
+
         data = check_2d(data, "data")
         self._whitener = Whitener(
             floor_ratio=self.floor_ratio, floor_sigma=self.floor_sigma
@@ -94,6 +95,8 @@ class GpdTailEnhancer:
         ``1 - threshold_quantile`` the radius is a fresh GPD exceedance above
         the threshold, otherwise a bootstrap of the empirical body radii.
         """
+        from scipy import stats
+
         self._check_fitted()
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
@@ -118,6 +121,8 @@ class GpdTailEnhancer:
 
     def tail_quantile(self, probability: float) -> float:
         """Radius (whitened units) exceeded with the given tail probability."""
+        from scipy import stats
+
         self._check_fitted()
         check_in_range(probability, 0.0, 1.0 - self.threshold_quantile, "probability")
         conditional = probability / (1.0 - self.threshold_quantile)

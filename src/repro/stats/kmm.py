@@ -22,7 +22,6 @@ import logging
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -59,6 +58,8 @@ def _active_set(K, c, B, beta, free, total, max_iterations, tol):
 
     Returns ``(nu, iterations, optimal)``.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     nu = 0.0
     for iteration in range(1, max_iterations + 1):
         idx = np.flatnonzero(free)

@@ -9,6 +9,11 @@ Two further lots (platform seeds 33 and 39, same detector) pin the counts
 across process variation: they are the lots on which the one-class SVM fits
 are hardest to converge, so a solver change that moves a boundary shows up
 here even when the display lot stays put.
+
+Ablation A7 (classifier choice and tail enhancer) is pinned on the display
+lot too: it is the only caller of the elliptic envelope and the GPD
+enhancer.  The GPD arm misses every Trojan-free DUTT, so its count cannot
+see a changed draw; a digest of one seeded draw pins the draw itself.
 """
 
 import hashlib
@@ -17,8 +22,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import DetectorConfig
+from repro.experiments.ablations import ablate_boundary_method, ablate_tail_enhancer
 from repro.experiments.platformcfg import PlatformConfig, generate_experiment_data
 from repro.experiments.table1 import run_table1
+from repro.stats.evt import GpdTailEnhancer
 
 #: SHA-256 of the raw float64 bytes of each synthesized array at seed 16.
 GOLDEN_DIGESTS = {
@@ -42,6 +49,19 @@ CROSS_LOT_COUNTS = {
     33: {"B1": (0, 16), "B2": (0, 0), "B3": (0, 40), "B4": (0, 40), "B5": (0, 0)},
     39: {"B1": (0, 40), "B2": (6, 21), "B3": (0, 40), "B4": (0, 40), "B5": (0, 33)},
 }
+
+#: (label, FP, FN) of the A7 rows on the display lot.
+GOLDEN_A7_BOUNDARY = [
+    ("B5 with ocsvm boundary", 0, 4),
+    ("B5 with mahalanobis boundary", 0, 17),
+]
+GOLDEN_A7_TAIL = [
+    ("B5 via adaptive KDE (paper)", 0, 5),
+    ("B5 via GPD radial tail", 0, 40),
+]
+
+#: SHA-256 of ``GpdTailEnhancer().fit(dutt_fingerprints).sample(4096, rng=11)``.
+GOLDEN_GPD_DRAW = "91d5a34b7c01b26c8e9616f331d278507189f89baba2f9e1d57fc2e4daa82367"
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +95,22 @@ def test_cross_lot_counts(platform_seed):
     )
     counts = {name: (m.fp_count, m.fn_count) for name, m in result.metrics.items()}
     assert counts == CROSS_LOT_COUNTS[platform_seed]
+
+
+@pytest.mark.parametrize("ablation, expected", [
+    (ablate_boundary_method, GOLDEN_A7_BOUNDARY),
+    (ablate_tail_enhancer, GOLDEN_A7_TAIL),
+])
+def test_a7_rows(display_lot, ablation, expected):
+    rows = ablation(
+        data=display_lot, base_config=DetectorConfig(kde_samples=30_000, seed=11)
+    )
+    assert [(row.label, row.fp_count, row.fn_count) for row in rows] == expected
+    assert all(row.n_infested == 80 and row.n_trojan_free == 40 for row in rows)
+
+
+def test_gpd_draw_digest(display_lot):
+    draw = GpdTailEnhancer().fit(display_lot.dutt_fingerprints).sample(4096, rng=11)
+    assert draw.shape == (4096, 6)
+    digest = hashlib.sha256(np.ascontiguousarray(draw).tobytes()).hexdigest()
+    assert digest == GOLDEN_GPD_DRAW

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.learn.elliptic import EllipticEnvelope
 
@@ -68,3 +69,23 @@ class TestEnvelope:
         np.testing.assert_array_equal(
             envelope.decision_function(points) >= 0, envelope.predict_inside(points)
         )
+
+
+class TestThresholdExactness:
+    """The threshold is ``chi2.ppf(1 - contamination, d)`` bit for bit.
+
+    ``fit`` evaluates it as ``2 * gammaincinv(d / 2, q)`` so that it never
+    imports :mod:`scipy.stats`; that is the expression ``chi2.ppf`` itself
+    reduces to, so A7 and exported envelopes keep the exact thresholds a
+    ``chi2.ppf`` fit gave them.
+    """
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_threshold_equals_chi2_ppf(self, d):
+        data = np.random.default_rng(d).standard_normal((40, d))
+        grid = np.concatenate([np.linspace(0.0025, 0.5, 200), [0.01, 0.05, 0.1, 0.25]])
+        for contamination in grid:
+            envelope = EllipticEnvelope(contamination=contamination).fit(data)
+            assert envelope.threshold_ == stats.chi2.ppf(1.0 - contamination, df=d), (
+                d, contamination,
+            )
