@@ -24,6 +24,7 @@ from repro.circuits.montecarlo import MonteCarloEngine
 from repro.circuits.spicemodel import SpiceDeck, default_spice_deck
 from repro.obs.trace import span
 from repro.process.parameters import OperatingPointShift
+from repro.process.population import DiePopulation
 from repro.silicon.foundry import Foundry
 from repro.silicon.pcm import PCMSuite
 from repro.testbed.campaign import FingerprintCampaign
@@ -235,7 +236,11 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
 
         def run_silicon() -> dict:
             foundry = build_foundry(config, deck, seed=rng_foundry)
-            dies = foundry.fabricate(config.n_chips, n_lots=config.n_lots)
+            # One population for the three versions: they are the same
+            # dies, so the per-structure mismatch draws are made once.
+            population = DiePopulation.from_dies(
+                foundry.fabricate(config.n_chips, n_lots=config.n_lots)
+            )
             trojans = [
                 (None, "TF"),
                 (AmplitudeModulationTrojan(depth=config.trojan1_depth), "T1"),
@@ -244,7 +249,7 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
             devices = []
             for trojan, version in trojans:
                 devices.extend(
-                    bench.measure_population(dies, trojan=trojan, version=version)
+                    bench.measure_population(population, trojan=trojan, version=version)
                 )
             return {
                 "pcms": np.vstack([d.pcms for d in devices]),

@@ -3,18 +3,22 @@
 A :class:`DiePopulation` stores a whole population of dies as one
 array-valued :class:`~repro.process.parameters.ProcessParameters` (each field
 an ``(n,)`` float array) plus the per-die mismatch seeds.  Per-structure
-local parameters are then evaluated for all dies at once: the only remaining
-per-die work is seeding one generator per (die, structure) pair — required
-for bit-identity with the scalar path, which derives each structure's
-mismatch from ``SeedSequence([mismatch_seed, *structure_entropy(name)])`` —
-while the arithmetic that turns those draws into parameters is vectorized.
+local parameters are then evaluated for all dies at once.  The arithmetic
+that turns the mismatch draws into parameters is vectorized; what stays per
+die is one seed sequence and one generator per (die, structure) pair, which
+bit-identity with the scalar path requires.  The structure name is encoded
+once per structure, and each die's seed words are written straight into a
+``uint32`` entropy array, so numpy never coerces a Python list per die.
 
 The RNG stream contract shared with the scalar dies
 (:class:`~repro.circuits.montecarlo.SimulatedDie`,
 :class:`~repro.silicon.foundry.FabricatedDie`):
 
-* per structure, one fresh generator seeded from
-  ``SeedSequence([mismatch_seed, *structure_entropy(structure)])``;
+* per structure, one fresh generator seeded from the ``SeedSequence`` whose
+  entropy is the ``uint32`` array of ``mismatch_seed``'s 32-bit words,
+  lowest first, followed by the structure name's UTF-8 bytes — the array
+  numpy builds from the list ``[mismatch_seed, *structure.encode()]``, so
+  both seed the same pool (see :func:`structure_seed_sequence`);
 * that generator yields one standard normal per *active* within-die
   parameter (sigma > 0), in ``PARAMETER_NAMES`` order;
 * analog model error is applied after mismatch, as a relative shift.
@@ -33,12 +37,20 @@ import numpy as np
 
 from repro.process.parameters import ProcessParameters, stack_parameters
 from repro.process.variation import VariationModel
-from repro.utils.rng import structure_entropy
+from repro.utils.rng import seed_entropy, structure_words
 
 
-def structure_seed_sequence(mismatch_seed: int, structure: str) -> np.random.SeedSequence:
-    """The per-(die, structure) seed: die seed mixed with the structure name."""
-    return np.random.SeedSequence([int(mismatch_seed), *structure_entropy(structure)])
+def structure_seed_sequence(mismatch_seed: int, structure) -> np.random.SeedSequence:
+    """The per-(die, structure) seed: die seed mixed with the structure name.
+
+    ``structure`` is the name or its pre-encoded
+    :func:`~repro.utils.rng.structure_words`, so a caller seeding many dies
+    of one structure encodes the name once.  A negative seed raises
+    ``ValueError``.
+    """
+    if isinstance(structure, str):
+        structure = structure_words(structure)
+    return np.random.SeedSequence(seed_entropy(mismatch_seed, structure))
 
 
 def sample_structure_params(
@@ -147,8 +159,9 @@ class DiePopulation:
             sigmas = self.variation.within_die_sigma
             draws = self.variation.independent_draw_count(sigmas)
             z = np.empty((len(self), draws), dtype=float)
-            for i, seed in enumerate(self.mismatch_seeds):
-                rng = np.random.default_rng(structure_seed_sequence(seed, structure))
+            words = structure_words(structure)
+            for i, seed in enumerate(self.mismatch_seeds.tolist()):
+                rng = np.random.default_rng(structure_seed_sequence(seed, words))
                 z[i] = rng.standard_normal(draws)
             local = self.variation.apply_independent(self.die_params, sigmas, z)
             for key, shifts in self.analog_model_error.items():

@@ -214,13 +214,20 @@ class FingerprintCampaign:
         instrument noise — and device ``i`` is bitwise what
         :meth:`measure_device` reads on die ``i``.
 
+        ``dies`` is a sequence of scalar dies or a
+        :class:`~repro.process.population.DiePopulation` built from them.
+        A lot measured as several design versions (TF, T1, T2) passes one
+        population to every call, so its per-structure mismatch draws are
+        made once and shared.
+
         A bench with instruments draws each device's noise from its own
         stream spawned off ``instrument_root`` (see :meth:`silicon_bench`);
         the spawn is stateful, so consecutive populations (a TF, T1, T2
         sweep) get fresh, non-overlapping per-device seeds in call order.
         A bench with instruments but no ``instrument_root`` is rejected.
         """
-        dies = list(dies)
+        if not isinstance(dies, DiePopulation):
+            dies = list(dies)
         has_instruments = (self.power_meter is not None
                            or self.delay_analyzer is not None)
         if has_instruments and self.instrument_root is None:
@@ -231,7 +238,8 @@ class FingerprintCampaign:
         with span("campaign.measure_population", version=version, n=len(dies)):
             if not dies:
                 return []
-            population = DiePopulation.from_dies(dies)
+            population = (dies if isinstance(dies, DiePopulation)
+                          else DiePopulation.from_dies(dies))
             seeds = self.instrument_root.spawn(len(dies)) if has_instruments else None
             pcms, fingerprints = self.measure_population_arrays(
                 population, trojan=trojan, version=version, instrument_seeds=seeds

@@ -79,3 +79,32 @@ def structure_entropy(name: str) -> tuple:
     structure names recurs for every device of every population.
     """
     return tuple(name.encode("utf-8"))
+
+
+def structure_words(name: str) -> np.ndarray:
+    """:func:`structure_entropy` as a ``uint32`` array, ready for :func:`seed_entropy`.
+
+    Callers that seed many dies of one structure encode the name once and
+    reuse the array.
+    """
+    return np.array(structure_entropy(name), dtype=np.uint32)
+
+
+def seed_entropy(seed: int, tail: np.ndarray) -> np.ndarray:
+    """``SeedSequence`` entropy for ``[seed, *tail]`` as one ``uint32`` array.
+
+    ``seed`` contributes its 32-bit words, lowest first (one word for 0),
+    followed by the ``uint32`` words of ``tail``: exactly the array numpy
+    coerces the Python list ``[seed, *tail]`` to, so both seed the same
+    pool.  Handing numpy the array skips its per-element coercion, which
+    runs in Python code and dominates the cost of a seed sequence.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    n_words = max(1, -(-seed.bit_length() // 32))
+    entropy = np.empty(n_words + tail.shape[0], dtype=np.uint32)
+    for k in range(n_words):
+        entropy[k] = (seed >> (32 * k)) & 0xFFFFFFFF
+    entropy[n_words:] = tail
+    return entropy

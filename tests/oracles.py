@@ -19,6 +19,10 @@ computes — and the oracles here *are* that formulation:
   Unlike the other oracles it is not bitwise equal to production (the
   second-order selection takes a different path to the optimum); the two
   agree to the solver tolerance;
+* :func:`median_heuristic_gamma_reference` takes the median-heuristic
+  gamma with ``np.median`` over the row-sliced strict upper triangle;
+  production selects the same order statistics by partition and must
+  equal it exactly;
 * :func:`dense_decision_function` scores a batch with one dense kernel
   pass over every device and support vector, with no row blocks and no
   underflow cut.
@@ -37,17 +41,46 @@ import numpy as np
 from repro.circuits.montecarlo import MonteCarloResult, SimulatedDie
 from repro.learn.mars import BasisFunction, HingeTerm, MarsRegression
 from repro.learn.ocsvm import OneClassSvm
+from repro.process.parameters import parameters_at
+from repro.process.population import DiePopulation, sample_structure_params
 from repro.silicon.instruments import DelayAnalyzer, PowerMeter
-from repro.stats.kernels import (
-    median_heuristic_gamma_from_sq,
-    pairwise_sq_dists,
-    rbf_from_sq_dists,
-)
+from repro.stats.kernels import pairwise_sq_dists, rbf_from_sq_dists
 from repro.utils.rng import as_generator, spawn_seed_sequences
 
 
+@dataclasses.dataclass
+class PopulationDie:
+    """Die ``index`` of a :class:`DiePopulation` as a scalar die.
+
+    Its structures are drawn by the scalar reference
+    :func:`sample_structure_params`, one die at a time.
+    """
+
+    population: DiePopulation
+    index: int
+
+    def structure_params(self, structure):
+        population = self.population
+        return sample_structure_params(
+            population.variation,
+            parameters_at(population.die_params, self.index),
+            int(population.mismatch_seeds[self.index]),
+            structure,
+            analog_model_error=population.analog_model_error,
+        )
+
+    def label(self):
+        return self.population.label(self.index)
+
+
 def measure_population_loop(campaign, dies, trojan=None, version="TF"):
-    """``campaign.measure_population`` computed one die at a time."""
+    """``campaign.measure_population`` computed one die at a time.
+
+    A :class:`DiePopulation` is measured die by die as :class:`PopulationDie`
+    objects.
+    """
+    if isinstance(dies, DiePopulation):
+        dies = [PopulationDie(dies, i) for i in range(len(dies))]
     dies = list(dies)
     if campaign.power_meter is None and campaign.delay_analyzer is None:
         return [campaign.measure_device(die, trojan=trojan, version=version)
@@ -137,6 +170,22 @@ class LstsqForwardMars(MarsRegression):
         return best
 
 
+def median_heuristic_gamma_reference(sq, max_samples=1000):
+    """``median_heuristic_gamma_from_sq`` computed with ``np.median``."""
+    n = sq.shape[0]
+    if n < 2:
+        return 1.0
+    if n > max_samples:
+        idx = np.arange(0, n, -(-n // max_samples))
+        sq = sq[np.ix_(idx, idx)]
+        n = sq.shape[0]
+    upper = np.concatenate([sq[i, i + 1:] for i in range(n - 1)])
+    median_sq = float(np.median(upper))
+    if median_sq <= 0.0:
+        return 1.0
+    return 1.0 / (2.0 * median_sq)
+
+
 class DenseMvpOneClassSvm(OneClassSvm):
     """One-class SVM solved by maximal-violating-pair SMO on the dense Gram."""
 
@@ -148,7 +197,7 @@ class DenseMvpOneClassSvm(OneClassSvm):
         n = data.shape[0]
 
         sq = pairwise_sq_dists(data, data)
-        gamma = self.gamma if self.gamma is not None else median_heuristic_gamma_from_sq(sq)
+        gamma = self.gamma if self.gamma is not None else median_heuristic_gamma_reference(sq)
         kernel = rbf_from_sq_dists(sq, gamma)
 
         c_bound = 1.0 / (self.nu * n)

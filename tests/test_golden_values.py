@@ -4,6 +4,8 @@ The integration tests bound Table 1 loosely; these pin it exactly, so a
 silent stream re-roll or a numerics change anywhere in the simulation,
 fabrication, measurement or detection chain fails here.  The fixture is one
 display-lot calibration (platform seed 16, detector seed 11, M' = 3x10^4).
+The five one-class SVM gammas of that calibration are pinned exactly too:
+the median heuristic that sets them must keep every bit.
 
 Two further lots (platform seeds 33 and 39, same detector) pin the counts
 across process variation: they are the lots on which the one-class SVM fits
@@ -44,6 +46,15 @@ GOLDEN_COUNTS = {
     "B5": (0, 4),
 }
 
+#: Per-boundary median-heuristic OC-SVM gamma on the display lot.
+GOLDEN_GAMMAS = {
+    "B1": 0.37309281092106256,
+    "B2": 0.22385924947754354,
+    "B3": 0.5762475042163021,
+    "B4": 1.4832868990263752,
+    "B5": 0.6790870508230964,
+}
+
 #: Per-boundary (FP, FN) of the cross-lot pins, keyed by platform seed.
 CROSS_LOT_COUNTS = {
     33: {"B1": (0, 16), "B2": (0, 0), "B3": (0, 40), "B4": (0, 40), "B5": (0, 0)},
@@ -77,14 +88,25 @@ def test_data_digest(display_lot, name):
     assert digest == GOLDEN_DIGESTS[name]
 
 
-def test_table1_counts(display_lot):
-    result = run_table1(
+@pytest.fixture(scope="module")
+def display_table1(display_lot):
+    return run_table1(
         detector_config=DetectorConfig(kde_samples=30_000, seed=11), data=display_lot
     )
-    counts = {name: (m.fp_count, m.fn_count) for name, m in result.metrics.items()}
+
+
+def test_table1_counts(display_table1):
+    metrics = display_table1.metrics
+    counts = {name: (m.fp_count, m.fn_count) for name, m in metrics.items()}
     assert counts == GOLDEN_COUNTS
     assert all(m.n_infested == 80 and m.n_trojan_free == 40
-               for m in result.metrics.values())
+               for m in metrics.values())
+
+
+def test_boundary_gammas(display_table1):
+    boundaries = display_table1.detector.boundaries
+    gammas = {name: region.svm.effective_gamma_ for name, region in boundaries.items()}
+    assert gammas == GOLDEN_GAMMAS
 
 
 @pytest.mark.parametrize("platform_seed", sorted(CROSS_LOT_COUNTS))

@@ -31,7 +31,7 @@ from repro.process.parameters import (
     OperatingPointShift,
     parameters_at,
 )
-from repro.process.population import DiePopulation
+from repro.process.population import DiePopulation, structure_seed_sequence
 from repro.rf.channel import AwgnChannel
 from repro.silicon.foundry import Foundry
 from repro.silicon.instruments import DelayAnalyzer, PowerMeter
@@ -105,6 +105,29 @@ class TestCampaignEngineBitIdentity:
                 fabricated_dies, trojan=trojan, version=version
             ))
         _assert_device_lists_equal(batched, loop)
+
+    def test_shared_population_full_sweep(self, fabricated_dies):
+        # One DiePopulation measured as TF, T1 and T2 (as the platform
+        # measures a lot) equals three calls on the dies list; the instrument
+        # streams are still spawned per call, in sweep order.
+        base = FingerprintCampaign.random_stimuli(nm=6, seed=11)
+        list_bench = base.silicon_bench(seed=99)
+        shared_bench = base.silicon_bench(seed=99)
+        loop_bench = base.silicon_bench(seed=99)
+        population = DiePopulation.from_dies(fabricated_dies)
+        from_list, shared, loop = [], [], []
+        for trojan, version in VERSION_SWEEP:
+            from_list.extend(list_bench.measure_population(
+                fabricated_dies, trojan=trojan, version=version
+            ))
+            shared.extend(shared_bench.measure_population(
+                population, trojan=trojan, version=version
+            ))
+            loop.extend(measure_population_loop(
+                loop_bench, population, trojan=trojan, version=version
+            ))
+        _assert_device_lists_equal(shared, from_list)
+        _assert_device_lists_equal(shared, loop)
 
     def test_noisy_bench_single_population(self, fabricated_dies):
         campaign = FingerprintCampaign.random_stimuli(nm=4, seed=2)
@@ -230,6 +253,40 @@ class TestDiePopulation:
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError, match="zero dies"):
             DiePopulation.from_dies([])
+
+
+@pytest.fixture(scope="module")
+def platform_structures():
+    """Every structure name a platform run draws mismatch for."""
+    names = set()
+    draw = DiePopulation.structure_params
+
+    def recording(population, structure):
+        names.add(structure)
+        return draw(population, structure)
+
+    with pytest.MonkeyPatch.context() as patch, artifact_cache.activated(None):
+        patch.setattr(DiePopulation, "structure_params", recording)
+        generate_experiment_data(small_platform(n_chips=4, n_monte_carlo=10))
+    return sorted(names)
+
+
+class TestStructureSeedSequence:
+    """The pre-encoded entropy seeds the pool numpy builds from the list."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 2])
+    def test_matches_list_entropy(self, platform_structures, seed):
+        assert "pcm.path_delay_ns" in platform_structures
+        for name in platform_structures:
+            expected = np.random.SeedSequence([seed, *name.encode()])
+            np.testing.assert_array_equal(
+                structure_seed_sequence(seed, name).generate_state(4, np.uint64),
+                expected.generate_state(4, np.uint64),
+            )
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            structure_seed_sequence(-1, "pcm.path_delay_ns")
 
 
 class TestBatchedAes:

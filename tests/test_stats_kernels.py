@@ -9,9 +9,13 @@ from hypothesis.extra.numpy import arrays
 from repro.stats.kernels import (
     linear_kernel,
     median_heuristic_gamma,
+    median_heuristic_gamma_from_sq,
+    median_heuristic_gamma_strided,
+    pairwise_sq_dists,
     polynomial_kernel,
     rbf_kernel,
 )
+from tests.oracles import median_heuristic_gamma_reference
 
 finite_matrix = arrays(
     dtype=float,
@@ -89,3 +93,41 @@ class TestMedianHeuristic:
         full = median_heuristic_gamma(x, max_samples=3000)
         sub = median_heuristic_gamma(x, max_samples=500, rng=np.random.default_rng(1))
         assert sub == pytest.approx(full, rel=0.2)
+
+
+class TestMedianHeuristicExactness:
+    """Partition-based gamma == the np.median reference, bit for bit."""
+
+    @staticmethod
+    def _assert_exact(x, max_samples=1000):
+        sq = pairwise_sq_dists(x, x)
+        expected = median_heuristic_gamma_reference(sq, max_samples)
+        assert median_heuristic_gamma_from_sq(sq, max_samples) == expected
+        assert median_heuristic_gamma_strided(x, max_samples) == expected
+        return expected
+
+    # Triangle sizes n(n-1)/2: odd for n = 2, 3, 6, 7, 41; even for n = 4,
+    # 5, 40, 640 (large enough that a partition does not fully sort it).
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 40, 41, 640])
+    def test_odd_and_even_triangles(self, n):
+        self._assert_exact(np.random.default_rng(n).standard_normal((n, 3)))
+
+    @pytest.mark.parametrize("n", [5, 8, 33])
+    def test_ties(self, n):
+        grid = np.random.default_rng(n).integers(0, 3, size=(n, 2)).astype(float)
+        self._assert_exact(grid)
+
+    def test_all_equal_points(self):
+        assert self._assert_exact(np.ones((6, 3))) == 1.0
+
+    # Strided subsets of 33, 63, 750 and 1000 rows.
+    @pytest.mark.parametrize("n, max_samples",
+                             [(97, 40), (250, 64), (1500, 1000), (2000, 1000)])
+    def test_strided_subset(self, n, max_samples):
+        x = np.random.default_rng(n).standard_normal((n, 6))
+        self._assert_exact(x, max_samples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(finite_matrix)
+    def test_random_matrices(self, x):
+        self._assert_exact(x)
