@@ -16,6 +16,10 @@ Ablation A7 (classifier choice and tail enhancer) is pinned on the display
 lot too: it is the only caller of the elliptic envelope and the GPD
 enhancer.  The GPD arm misses every Trojan-free DUTT, so its count cannot
 see a changed draw; a digest of one seeded draw pins the draw itself.
+
+Ablation A5 (latent-gain vs independent per-output MARS) is pinned the same
+way.  Its independent arm misses every Trojan-free DUTT, so a digest of the
+independent models' predictions on the DUTT PCMs pins the model itself.
 """
 
 import hashlib
@@ -24,9 +28,14 @@ import numpy as np
 import pytest
 
 from repro.core.config import DetectorConfig
-from repro.experiments.ablations import ablate_boundary_method, ablate_tail_enhancer
+from repro.experiments.ablations import (
+    ablate_boundary_method,
+    ablate_regression_mode,
+    ablate_tail_enhancer,
+)
 from repro.experiments.platformcfg import PlatformConfig, generate_experiment_data
 from repro.experiments.table1 import run_table1
+from repro.learn.mars import MultiOutputMars
 from repro.stats.evt import GpdTailEnhancer
 
 #: SHA-256 of the raw float64 bytes of each synthesized array at seed 16.
@@ -70,6 +79,18 @@ GOLDEN_A7_TAIL = [
     ("B5 via adaptive KDE (paper)", 0, 5),
     ("B5 via GPD radial tail", 0, 40),
 ]
+
+#: (label, FP, FN) of the A5 rows on the display lot.
+GOLDEN_A5 = [
+    ("B5 with latent_gain regression", 0, 4),
+    ("B5 with independent regression", 0, 40),
+]
+
+#: SHA-256 of the independent MARS predictions on the display lot's DUTT
+#: PCMs, fitted on its simulation data with the config's MARS defaults.
+GOLDEN_INDEPENDENT_PREDICTIONS = (
+    "062a35586e14c04e8b7623cb66bf296f0461304be8a8b0e88b8d2e771700ac15"
+)
 
 #: SHA-256 of ``GpdTailEnhancer().fit(dutt_fingerprints).sample(4096, rng=11)``.
 GOLDEN_GPD_DRAW = "91d5a34b7c01b26c8e9616f331d278507189f89baba2f9e1d57fc2e4daa82367"
@@ -131,8 +152,29 @@ def test_a7_rows(display_lot, ablation, expected):
     assert all(row.n_infested == 80 and row.n_trojan_free == 40 for row in rows)
 
 
+def test_a5_rows(display_lot):
+    rows = ablate_regression_mode(
+        data=display_lot, base_config=DetectorConfig(kde_samples=30_000, seed=11)
+    )
+    assert [(row.label, row.fp_count, row.fn_count) for row in rows] == GOLDEN_A5
+    assert all(row.n_infested == 80 and row.n_trojan_free == 40 for row in rows)
+
+
 def test_gpd_draw_digest(display_lot):
     draw = GpdTailEnhancer().fit(display_lot.dutt_fingerprints).sample(4096, rng=11)
     assert draw.shape == (4096, 6)
     digest = hashlib.sha256(np.ascontiguousarray(draw).tobytes()).hexdigest()
     assert digest == GOLDEN_GPD_DRAW
+
+
+def test_independent_regression_digest(display_lot):
+    config = DetectorConfig()
+    model = MultiOutputMars(
+        max_terms=config.mars_max_terms,
+        max_degree=config.mars_max_degree,
+        penalty=config.mars_penalty,
+    ).fit(display_lot.sim_pcms, display_lot.sim_fingerprints)
+    predictions = model.predict(display_lot.dutt_pcms)
+    assert predictions.shape == (120, 6)
+    digest = hashlib.sha256(np.ascontiguousarray(predictions).tobytes()).hexdigest()
+    assert digest == GOLDEN_INDEPENDENT_PREDICTIONS
