@@ -171,14 +171,3 @@ def load_npz(path) -> Tuple[Any, str]:
             if name not in (META_ENTRY, "__stage__")
         }
         return decode(meta, arrays), stage
-
-
-def read_stage(path) -> str:
-    """The stage recorded in an entry file (``"unknown"`` when absent)."""
-    with np.load(path, allow_pickle=False) as archive:
-        if "__stage__" not in archive.files:
-            return "unknown"
-        try:
-            return json.loads(archive["__stage__"].tobytes()).get("stage", "unknown")
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return "unknown"

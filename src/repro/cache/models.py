@@ -11,17 +11,16 @@ from __future__ import annotations
 from repro.cache.codec import register
 from repro.core.boundaries import TrustedRegion
 from repro.core.pipeline import GoldenChipFreeDetector
-from repro.learn.elliptic import EllipticEnvelope
 from repro.learn.latent import LatentGainMars
 from repro.learn.mars import MarsRegression, MultiOutputMars
 from repro.learn.ocsvm import OneClassSvm
 from repro.stats.preprocessing import Whitener
 
 register("mars", MarsRegression)
+# Ablation A5 injects the per-output regression; its fits reach the cache.
 register("mars_multi", MultiOutputMars)
 register("latent_gain_mars", LatentGainMars)
 register("ocsvm", OneClassSvm)
-register("elliptic", EllipticEnvelope)
 register("whitener", Whitener)
 register("trusted_region", TrustedRegion)
 # The whole fitted detector is itself codec-encodable: detector bundles

@@ -6,7 +6,8 @@ table1        reproduce Table 1 (FP/FN of boundaries B1..B5)
 figure4       reproduce the Figure 4 geometry summary
 audit         screen a device population and print the audit sheet
 generate      synthesize an experiment and save it to .npz
-ablation      run one of the ablation studies (A1/A2/A5/A7)
+ablation      run one of the ablation studies (A1/A2/A5/A7; A5 and A7a
+              inject their alternative models, no config field selects them)
 report        pretty-print the manifest of a traced run
 cache         inspect (``stats``) or empty (``clear``) the artifact cache
 export-bundle fit a detector and export it as a ``repro-bundle-v1`` file

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.learn.elliptic import EllipticEnvelope
+from repro.core.config import drop_retired_keys
 from repro.learn.ocsvm import OneClassSvm
 from repro.obs.trace import span
 from repro.stats.preprocessing import Whitener
@@ -43,15 +43,17 @@ class TrustedRegion:
         mean fingerprint magnitude (encodes bench measurement noise).
     max_training_samples:
         Subsampling cap passed to the SVM.
-    method:
-        One-class learner in whitened space: ``"ocsvm"`` (the paper's
-        choice) or ``"mahalanobis"`` (an elliptic envelope at the matching
-        chi-square quantile; classifier-choice ablation A7).
     seed:
         Seed for the (deterministic) subsampling.
+    learner:
+        One-class learner fitted in whitened coordinates; ``None`` builds the
+        paper's ν-one-class SVM from the parameters above.  Any object with
+        ``fit`` and ``decision_function`` works (ablation A7 injects a
+        Mahalanobis envelope).
     """
 
-    METHODS = ("ocsvm", "mahalanobis")
+    #: Region params earlier versions wrote, with the one value still loadable.
+    RETIRED_PARAMS = {"method": "ocsvm"}
 
     def __init__(
         self,
@@ -61,35 +63,30 @@ class TrustedRegion:
         floor_ratio: float = 2e-3,
         noise_floor_rel: float = 0.0,
         max_training_samples: int = 1500,
-        method: str = "ocsvm",
         seed: SeedLike = None,
+        learner=None,
     ):
         if noise_floor_rel < 0:
             raise ValueError(f"noise_floor_rel must be non-negative, got {noise_floor_rel}")
-        if method not in self.METHODS:
-            raise ValueError(f"method must be one of {self.METHODS}, got {method!r}")
         self.name = name
-        self.method = method
         self.floor_ratio = float(floor_ratio)
         self.noise_floor_rel = float(noise_floor_rel)
         self._whitener: Optional[Whitener] = None
-        if method == "ocsvm":
-            self._learner = OneClassSvm(
+        if learner is None:
+            learner = OneClassSvm(
                 nu=nu,
                 gamma=gamma,
                 max_training_samples=max_training_samples,
                 seed=seed,
             )
-        else:
-            self._learner = EllipticEnvelope(contamination=nu)
+        self._learner = learner
         self.n_training_samples_: Optional[int] = None
         self.n_features_: Optional[int] = None
 
     def fit(self, population) -> "TrustedRegion":
         """Learn the boundary enclosing a golden fingerprint ``population``."""
         population = check_2d(population, "population")
-        with span("boundary.fit", boundary=self.name, method=self.method,
-                  n=int(population.shape[0])):
+        with span("boundary.fit", boundary=self.name, n=int(population.shape[0])):
             self.n_training_samples_ = population.shape[0]
             self.n_features_ = population.shape[1]
             floor_sigma = self.noise_floor_rel * float(np.mean(np.abs(population)))
@@ -147,16 +144,7 @@ class TrustedRegion:
 
     @property
     def svm(self) -> OneClassSvm:
-        """The fitted one-class SVM (raises for non-SVM methods)."""
-        if not isinstance(self._learner, OneClassSvm):
-            raise AttributeError(
-                f"TrustedRegion {self.name!r} uses method {self.method!r}, not an SVM"
-            )
-        return self._learner
-
-    @property
-    def learner(self):
-        """The fitted one-class learner, whatever its method."""
+        """The fitted one-class SVM (the injected learner, if one was given)."""
         return self._learner
 
     def to_state(self) -> dict:
@@ -165,7 +153,6 @@ class TrustedRegion:
         return {
             "params": {
                 "name": self.name,
-                "method": self.method,
                 "floor_ratio": self.floor_ratio,
                 "noise_floor_rel": self.noise_floor_rel,
             },
@@ -178,9 +165,9 @@ class TrustedRegion:
     @classmethod
     def from_state(cls, state: dict) -> "TrustedRegion":
         """Rebuild a fitted boundary from :meth:`to_state` output."""
-        region = cls(**state["params"])
+        params = drop_retired_keys(state["params"], cls.RETIRED_PARAMS)
+        region = cls(**params, learner=state["learner"])
         region._whitener = state["whitener"]
-        region._learner = state["learner"]
         region.n_training_samples_ = int(state["n_training_samples"])
         # Entries written before the width was recorded lack the key; the
         # n_features property then derives it from the whitener.

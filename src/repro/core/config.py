@@ -8,9 +8,15 @@ from typing import Optional
 from repro.utils.validation import check_in_range, check_positive, check_probability
 
 #: Fields earlier versions of :class:`DetectorConfig` carried that no longer
-#: exist.  Bundles and saved configs still contain them; loaders drop them
-#: and reject every other unknown key.
-RETIRED_KEYS = frozenset({"engine"})
+#: exist, each with the one value it may still hold (``None``: any value).
+#: Bundles and saved configs still contain them; loaders drop a retired key
+#: that holds its allowed value, refuse any other value (it selected a path
+#: that no longer exists) and reject every other unknown key.
+RETIRED_KEYS = {
+    "engine": None,
+    "boundary_method": "ocsvm",
+    "regression_mode": "latent_gain",
+}
 
 
 @dataclass
@@ -56,16 +62,6 @@ class DetectorConfig:
         resampling (paper: 100, same as the Monte Carlo size).
     mars_max_terms / mars_max_degree:
         MARS forward-pass capacity for the PCM -> fingerprint regressions.
-    boundary_method:
-        One-class learner of the trusted regions: ``"ocsvm"`` (paper) or
-        ``"mahalanobis"`` (elliptic envelope; ablation A7).
-    regression_mode:
-        ``"latent_gain"`` (default) fits one MARS model on the latent device
-        gain and predicts all fingerprints consistently (rank-1 reduced-rank
-        regression); ``"independent"`` fits one MARS model per fingerprint,
-        as a literal reading of the paper.  Independent fits extrapolate
-        inconsistently across outputs, which poisons the near-degenerate
-        directions of the trusted region (see the regression ablation).
     seed:
         Master seed for every stochastic pipeline step.
     n_jobs:
@@ -92,8 +88,6 @@ class DetectorConfig:
     mars_max_terms: int = 15
     mars_max_degree: int = 1
     mars_penalty: float = 2.0
-    regression_mode: str = "latent_gain"
-    boundary_method: str = "ocsvm"
     seed: Optional[int] = 11
     n_jobs: int = 1
 
@@ -114,16 +108,6 @@ class DetectorConfig:
             raise ValueError(
                 f"kmm_resample_size must be positive, got {self.kmm_resample_size}"
             )
-        if self.boundary_method not in ("ocsvm", "mahalanobis"):
-            raise ValueError(
-                f"boundary_method must be 'ocsvm' or 'mahalanobis', "
-                f"got {self.boundary_method!r}"
-            )
-        if self.regression_mode not in ("latent_gain", "independent"):
-            raise ValueError(
-                f"regression_mode must be 'latent_gain' or 'independent', "
-                f"got {self.regression_mode!r}"
-            )
         if self.svm_max_training_samples < 10:
             raise ValueError(
                 "svm_max_training_samples must be >= 10, "
@@ -133,6 +117,17 @@ class DetectorConfig:
             raise ValueError(f"n_jobs must be an integer, got {self.n_jobs!r}")
 
 
-def drop_retired_keys(raw: dict) -> dict:
-    """``raw`` without :data:`RETIRED_KEYS` (persisted configs stay loadable)."""
-    return {key: value for key, value in raw.items() if key not in RETIRED_KEYS}
+def drop_retired_keys(raw: dict, retired: dict = RETIRED_KEYS) -> dict:
+    """``raw`` without its ``retired`` keys (default :data:`RETIRED_KEYS`).
+
+    Persisted configs stay loadable as long as each retired key holds its
+    allowed value; any other value raises ``ValueError`` naming the key and
+    the value, instead of silently loading as the one remaining path.
+    """
+    for key, allowed in retired.items():
+        if key in raw and allowed is not None and raw[key] != allowed:
+            raise ValueError(
+                f"retired key {key!r} = {raw[key]!r} is no longer supported "
+                f"(only {allowed!r} still loads)"
+            )
+    return {key: value for key, value in raw.items() if key not in retired}

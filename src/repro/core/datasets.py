@@ -19,13 +19,12 @@ Each S_k trains the corresponding trusted boundary B_k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.core.config import DetectorConfig
 from repro.learn.latent import LatentGainMars
-from repro.learn.mars import MultiOutputMars
 from repro.stats.kde import AdaptiveKde
 from repro.stats.kmm import KernelMeanMatcher, importance_resample
 from repro.utils.rng import SeedLike, as_generator
@@ -53,24 +52,23 @@ class DatasetBundle:
         return [name for name in ("S1", "S2", "S3", "S4", "S5") if name in self.sets]
 
 
-def train_regressions(sim_pcms, sim_fingerprints, config: DetectorConfig):
+def train_regressions(sim_pcms, sim_fingerprints, config: DetectorConfig,
+                      regression=LatentGainMars):
     """Learn the MARS regressions ``g : m_p -> m`` on simulation data.
 
-    ``config.regression_mode`` selects between the consistent latent-gain
-    model (default) and the paper-literal independent per-output models.
+    ``regression`` is the multi-output model class, built from the config's
+    MARS fields: the consistent latent-gain model by default (ablation A5
+    passes the paper-literal per-output
+    :class:`~repro.learn.mars.MultiOutputMars`).
     """
     sim_pcms = check_2d(sim_pcms, "sim_pcms")
     sim_fingerprints = check_2d(sim_fingerprints, "sim_fingerprints")
     check_matching_rows(sim_pcms, sim_fingerprints, "sim_pcms", "sim_fingerprints")
-    kwargs = dict(
+    model = regression(
         max_terms=config.mars_max_terms,
         max_degree=config.mars_max_degree,
         penalty=config.mars_penalty,
     )
-    if config.regression_mode == "latent_gain":
-        model = LatentGainMars(**kwargs)
-    else:
-        model = MultiOutputMars(**kwargs)
     return model.fit(sim_pcms, sim_fingerprints)
 
 
@@ -136,27 +134,3 @@ def build_s4(
     """S4: fingerprints predicted from the KMM-shifted simulated PCMs."""
     shifted = shift_pcm_population(sim_pcms, silicon_pcms, config, rng=rng)
     return regressions.predict(shifted)
-
-
-def build_all(
-    sim_pcms,
-    sim_fingerprints,
-    silicon_pcms,
-    config: Optional[DetectorConfig] = None,
-    rng: SeedLike = None,
-) -> DatasetBundle:
-    """Build S1..S5 in one call (used by tests and ablations).
-
-    The pipeline class builds the same sets stage by stage; this helper is
-    for callers that already have all inputs in hand.
-    """
-    config = config or DetectorConfig()
-    gen = as_generator(rng if rng is not None else config.seed)
-    regressions = train_regressions(sim_pcms, sim_fingerprints, config)
-    bundle = DatasetBundle()
-    bundle.sets["S1"] = build_s1(sim_fingerprints)
-    bundle.sets["S2"] = tail_enhance(bundle.sets["S1"], config, rng=gen)
-    bundle.sets["S3"] = build_s3(regressions, silicon_pcms)
-    bundle.sets["S4"] = build_s4(regressions, sim_pcms, silicon_pcms, config, rng=gen)
-    bundle.sets["S5"] = tail_enhance(bundle.sets["S4"], config, rng=gen)
-    return bundle

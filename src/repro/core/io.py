@@ -74,7 +74,9 @@ def load_detector_config(path: PathLike) -> DetectorConfig:
 
     Unknown keys are rejected — a config written by a newer library version
     should fail loudly rather than be silently misinterpreted — except the
-    retired fields older versions wrote (:data:`~repro.core.config.RETIRED_KEYS`).
+    retired fields older versions wrote (:data:`~repro.core.config.RETIRED_KEYS`),
+    which are dropped while they hold their one allowed value and refused
+    otherwise.
     """
     raw = drop_retired_keys(json.loads(Path(path).read_text()))
     known = {field.name for field in dataclasses.fields(DetectorConfig)}

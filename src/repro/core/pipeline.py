@@ -35,6 +35,7 @@ from repro.core.datasets import (
     train_regressions,
 )
 from repro.core.metrics import DetectionMetrics, evaluate_detection
+from repro.learn.latent import LatentGainMars
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.utils.parallel import parallel_map
@@ -60,10 +61,17 @@ class GoldenChipFreeDetector:
         detector.fit_silicon(dutt_pcms)
         verdicts = detector.classify(dutt_fingerprints)          # B5
         table = detector.evaluate(dutt_fingerprints, infested)   # all B's
+
+    ``regression`` is the multi-output regression class the pre-manufacturing
+    stage fits (see :func:`~repro.core.datasets.train_regressions`); the
+    latent-gain MARS is the production model, and ablation A5 injects the
+    paper-literal per-output one.
     """
 
-    def __init__(self, config: Optional[DetectorConfig] = None):
+    def __init__(self, config: Optional[DetectorConfig] = None,
+                 regression=LatentGainMars):
         self.config = config or DetectorConfig()
+        self.regression = regression
         self.datasets = DatasetBundle()
         self.boundaries: Dict[str, TrustedRegion] = {}
         self.regressions_ = None
@@ -85,15 +93,16 @@ class GoldenChipFreeDetector:
 
     #: DetectorConfig fields each cacheable stage depends on.  ``n_jobs``
     #: never appears (results are bit-identical for any worker count);
-    #: ``seed`` is appended automatically for stochastic stages.
+    #: ``seed`` is appended automatically for stochastic stages.  The
+    #: regression class joins the regression-dependent parts by name (see
+    #: :meth:`_regression_parts`).
     _STAGE_FIELDS = {
-        "regressions": ("regression_mode", "mars_max_terms", "mars_max_degree",
-                        "mars_penalty"),
+        "regressions": ("mars_max_terms", "mars_max_degree", "mars_penalty"),
         "kde_tail": ("kde_samples", "kde_alpha", "kde_bandwidth",
                      "kde_bandwidth_scale", "floor_ratio"),
         "kmm_shift": ("kmm_B", "kmm_eps", "kmm_gamma", "kmm_resample_size"),
         "boundary": ("svm_nu", "svm_gamma", "floor_ratio", "noise_floor_rel",
-                     "svm_max_training_samples", "boundary_method"),
+                     "svm_max_training_samples"),
     }
 
     #: Code-version salt of each cacheable stage (see
@@ -114,6 +123,10 @@ class GoldenChipFreeDetector:
                  for name in self._STAGE_FIELDS[stage]}
         parts.update(extra)
         return parts
+
+    def _regression_parts(self, **extra) -> dict:
+        model = f"{self.regression.__module__}.{self.regression.__qualname__}"
+        return self._stage_parts("regressions", model=model, **extra)
 
     def _cached(self, stage, parts, compute, stochastic=True):
         """Route one stage through the artifact cache.
@@ -140,15 +153,16 @@ class GoldenChipFreeDetector:
             self._sim_pcms = sim_pcms
             self.n_pcm_features_ = int(sim_pcms.shape[1])
             self.n_fingerprint_features_ = int(sim_fingerprints.shape[1])
-            with span("regression.train", mode=self.config.regression_mode):
+            with span("regression.train", model=self.regression.__name__):
                 self.regressions_ = self._cached(
                     "regressions",
-                    self._stage_parts(
-                        "regressions",
+                    self._regression_parts(
                         pcms=digest_array(sim_pcms),
                         fingerprints=digest_array(sim_fingerprints),
                     ),
-                    lambda: train_regressions(sim_pcms, sim_fingerprints, self.config),
+                    lambda: train_regressions(
+                        sim_pcms, sim_fingerprints, self.config, self.regression
+                    ),
                     stochastic=False,
                 )
 
@@ -198,8 +212,7 @@ class GoldenChipFreeDetector:
                     "kmm_shift",
                     self._stage_parts(
                         "kmm_shift",
-                        regression=self._stage_parts(
-                            "regressions",
+                        regression=self._regression_parts(
                             fingerprints=digest_array(self.datasets["S1"]),
                         ),
                         sim_pcms=digest_array(self._sim_pcms),
@@ -232,7 +245,6 @@ class GoldenChipFreeDetector:
             floor_ratio=self.config.floor_ratio,
             noise_floor_rel=self.config.noise_floor_rel,
             max_training_samples=self.config.svm_max_training_samples,
-            method=self.config.boundary_method,
             seed=self._rngs[3 + BOUNDARY_NAMES.index(name)],
         )
 
@@ -403,6 +415,8 @@ class GoldenChipFreeDetector:
         detector = cls(DetectorConfig(**drop_retired_keys(state["config"])))
         detector.boundaries = dict(state["boundaries"])
         detector.regressions_ = state.get("regressions")
+        if detector.regressions_ is not None:
+            detector.regression = type(detector.regressions_)
         width = state.get("n_pcm_features")
         detector.n_pcm_features_ = None if width is None else int(width)
         width = state.get("n_fingerprint_features")

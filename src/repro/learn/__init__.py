@@ -1,4 +1,4 @@
-"""Learning substrate: one-class SVM, MARS regression, elliptic envelope.
+"""Learning substrate: one-class SVM and MARS regression.
 
 The environment provides no scikit-learn, so the classifiers and regressors
 the paper names are implemented here from first principles:
@@ -9,11 +9,9 @@ the paper names are implemented here from first principles:
 * :class:`MarsRegression` — Multivariate Adaptive Regression Splines
   (forward hinge-basis growth + GCV backward pruning), the model the paper
   uses to map PCM measurements to side-channel fingerprints, and
-  :class:`LatentGainMars`, its rank-1 multi-output form;
-* :class:`EllipticEnvelope` — the Mahalanobis one-class baseline.
+  :class:`LatentGainMars`, its rank-1 multi-output form.
 """
 
-from repro.learn.elliptic import EllipticEnvelope
 from repro.learn.latent import LatentGainMars
 from repro.learn.mars import MarsRegression
 from repro.learn.ocsvm import OneClassSvm
@@ -22,5 +20,4 @@ __all__ = [
     "OneClassSvm",
     "MarsRegression",
     "LatentGainMars",
-    "EllipticEnvelope",
 ]

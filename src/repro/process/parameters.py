@@ -165,17 +165,6 @@ def stack_parameters(realizations: Sequence[ProcessParameters]) -> ProcessParame
     return ProcessParameters(**fields)
 
 
-def broadcast_parameters(params: ProcessParameters, n: int) -> ProcessParameters:
-    """Replicate scalar parameters into an ``(n,)`` array-valued stack."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    fields = {
-        name: np.full(n, float(getattr(params, name)), dtype=float)
-        for name in PARAMETER_NAMES
-    }
-    return ProcessParameters(**fields)
-
-
 def parameters_at(params: ProcessParameters, index: int) -> ProcessParameters:
     """Extract one device's scalar parameters from an array-valued stack.
 

@@ -152,7 +152,6 @@ def export_bundle(detector, path, **manifest_extra) -> BundleInfo:
             "boundaries": sorted(detector.boundaries),
             "n_features": detector.n_fingerprint_features_,
             "seed": detector.config.seed,
-            "boundary_method": detector.config.boundary_method,
         },
         "provenance": _provenance(),
     }
@@ -225,9 +224,11 @@ def read_bundle_header(path) -> dict:
 def load_bundle(path) -> LoadedBundle:
     """Load, verify and restore a bundle written by :func:`export_bundle`.
 
-    Raises :class:`BundleFormatError` for non-bundles and unsupported
-    schema versions, :class:`BundleIntegrityError` when the payload digest
-    does not match the header.
+    Raises :class:`BundleFormatError` for non-bundles, unsupported schema
+    versions and payloads the library refuses to restore (unknown codec
+    tags or config keys, retired keys holding a retired value),
+    :class:`BundleIntegrityError` when the payload digest does not match
+    the header.
     """
     path = os.fspath(path)
     try:
@@ -256,7 +257,7 @@ def load_bundle(path) -> LoadedBundle:
         )
     try:
         detector = codec.decode(meta, arrays)
-    except codec.CacheCodecError as error:
+    except (TypeError, ValueError) as error:  # CacheCodecError is a TypeError
         raise BundleFormatError(f"{path}: undecodable bundle payload: {error}")
     from repro.core.pipeline import GoldenChipFreeDetector
 

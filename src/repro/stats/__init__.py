@@ -7,14 +7,8 @@ Epanechnikov KDE tail modeling (Section 2.5), PCA (Section 3.2) and the
 preprocessing the boundary learner relies on.
 """
 
-from repro.stats.evt import GpdTailEnhancer
 from repro.stats.kde import AdaptiveKde, EpanechnikovKde, epanechnikov_bandwidth
-from repro.stats.kernels import (
-    linear_kernel,
-    median_heuristic_gamma,
-    polynomial_kernel,
-    rbf_kernel,
-)
+from repro.stats.kernels import median_heuristic_gamma, rbf_kernel
 from repro.stats.kmm import KernelMeanMatcher, KmmProblem, importance_resample
 from repro.stats.mmd import mmd_permutation_test, mmd_squared
 from repro.stats.pca import PrincipalComponentAnalysis
@@ -22,8 +16,6 @@ from repro.stats.preprocessing import StandardScaler, Whitener
 
 __all__ = [
     "rbf_kernel",
-    "linear_kernel",
-    "polynomial_kernel",
     "median_heuristic_gamma",
     "KernelMeanMatcher",
     "KmmProblem",
@@ -32,7 +24,6 @@ __all__ = [
     "mmd_permutation_test",
     "EpanechnikovKde",
     "AdaptiveKde",
-    "GpdTailEnhancer",
     "epanechnikov_bandwidth",
     "PrincipalComponentAnalysis",
     "StandardScaler",

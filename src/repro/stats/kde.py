@@ -52,18 +52,6 @@ def unit_ball_volume(d: int) -> float:
     return float(2.0 * math.pi ** (d / 2.0) / (d * math.gamma(d / 2.0)))
 
 
-def epanechnikov_kernel_value(t: np.ndarray) -> np.ndarray:
-    """Multivariate Epanechnikov kernel Ke(t), Eq. (6), rows of ``t``.
-
-    Ke(t) = (1/2) c_d^-1 (d + 2)(1 - t't)  for t't < 1, else 0.
-    """
-    t = np.atleast_2d(np.asarray(t, dtype=float))
-    d = t.shape[1]
-    sq = np.sum(t**2, axis=1)
-    value = 0.5 * (d + 2.0) / unit_ball_volume(d) * (1.0 - sq)
-    return np.where(sq < 1.0, value, 0.0)
-
-
 def epanechnikov_bandwidth(n: int, d: int) -> float:
     """Silverman's optimal global bandwidth for unit-covariance data.
 

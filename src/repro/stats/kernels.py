@@ -50,24 +50,6 @@ def rbf_from_sq_dists(sq: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
-def linear_kernel(x, y=None) -> np.ndarray:
-    """Linear Gram matrix ``xi . yj``."""
-    x = check_2d(x, "x")
-    y = x if y is None else check_2d(y, "y")
-    return x @ y.T
-
-
-def polynomial_kernel(x, y=None, degree: int = 3, coef0: float = 1.0,
-                      gamma: float = 1.0) -> np.ndarray:
-    """Polynomial Gram matrix ``(gamma * xi . yj + coef0) ** degree``."""
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    x = check_2d(x, "x")
-    y = x if y is None else check_2d(y, "y")
-    check_positive(gamma, "gamma")
-    return (gamma * (x @ y.T) + coef0) ** degree
-
-
 def _median_stride(n: int, max_samples: int) -> int:
     """Row stride of the median heuristic's deterministic subset."""
     return -(-n // max_samples) if n > max_samples else 1

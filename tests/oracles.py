@@ -25,7 +25,10 @@ computes — and the oracles here *are* that formulation:
   equal it exactly;
 * :func:`dense_decision_function` scores a batch with one dense kernel
   pass over every device and support vector, with no row blocks and no
-  underflow cut.
+  underflow cut;
+* :func:`epanechnikov_kernel_value` evaluates the paper's closed-form
+  Epanechnikov kernel, Eq. (6), that the KDE's density and sampler
+  implement.
 
 The loop oracles mirror the production signatures, so a test can
 monkeypatch them over ``FingerprintCampaign.measure_population`` and
@@ -44,6 +47,7 @@ from repro.learn.ocsvm import OneClassSvm
 from repro.process.parameters import parameters_at
 from repro.process.population import DiePopulation, sample_structure_params
 from repro.silicon.instruments import DelayAnalyzer, PowerMeter
+from repro.stats.kde import unit_ball_volume
 from repro.stats.kernels import pairwise_sq_dists, rbf_from_sq_dists
 from repro.utils.rng import as_generator, spawn_seed_sequences
 
@@ -259,3 +263,15 @@ def dense_decision_function(svm, points):
     """
     sq = pairwise_sq_dists(np.asarray(points, dtype=float), svm.support_vectors_)
     return rbf_from_sq_dists(sq, svm.effective_gamma_) @ svm.dual_coefs_ - svm.rho_
+
+
+def epanechnikov_kernel_value(t):
+    """Multivariate Epanechnikov kernel Ke(t), Eq. (6), rows of ``t``.
+
+    Ke(t) = (1/2) c_d^-1 (d + 2)(1 - t't)  for t't < 1, else 0.
+    """
+    t = np.atleast_2d(np.asarray(t, dtype=float))
+    d = t.shape[1]
+    sq = np.sum(t**2, axis=1)
+    value = 0.5 * (d + 2.0) / unit_ball_volume(d) * (1.0 - sq)
+    return np.where(sq < 1.0, value, 0.0)

@@ -337,6 +337,47 @@ class TestPipelineIntegration:
         assert "stages" in session
 
 
+class TestInjectedRegression:
+    """The regression class is part of every regression-dependent key."""
+
+    def test_ablation_cold_and_warm_match_uncached(self, experiment_data, tmp_path):
+        from repro.core.pipeline import GoldenChipFreeDetector
+        from repro.experiments.ablations import ablate_regression_mode
+        from repro.learn.latent import LatentGainMars
+        from repro.learn.mars import MultiOutputMars
+        from tests.conftest import small_detector_config
+
+        config = small_detector_config()
+
+        def one_run(cache):
+            with artifact_cache.activated(cache):
+                rows = ablate_regression_mode(data=experiment_data,
+                                              base_config=config)
+                models = {}
+                for regression in (LatentGainMars, MultiOutputMars):
+                    detector = GoldenChipFreeDetector(config, regression=regression)
+                    detector.fit_premanufacturing(experiment_data.sim_pcms,
+                                                  experiment_data.sim_fingerprints)
+                    models[regression] = detector.regressions_
+            return rows, models
+
+        off_rows, off_models = one_run(None)
+        cold_cache = ArtifactCache(str(tmp_path / "cache"))
+        cold_rows, _ = one_run(cold_cache)
+        warm_cache = ArtifactCache(str(tmp_path / "cache"))
+        warm_rows, warm_models = one_run(warm_cache)
+
+        assert cold_rows == off_rows and warm_rows == off_rows
+        assert cold_cache.session.stage("regressions").misses == 2
+        assert warm_cache.session.misses == 0
+        for regression, model in warm_models.items():
+            assert type(model) is regression
+            np.testing.assert_array_equal(
+                model.predict(experiment_data.dutt_pcms),
+                off_models[regression].predict(experiment_data.dutt_pcms),
+            )
+
+
 class TestStageVersions:
     def test_entries_of_an_older_stage_version_are_misses(self, tmp_path,
                                                            monkeypatch):

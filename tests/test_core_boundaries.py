@@ -72,3 +72,20 @@ def test_accessors_exposed(ray_population):
     region = TrustedRegion(seed=0).fit(ray_population)
     assert region.whitener.scales_ is not None
     assert region.svm.rho_ is not None
+
+
+def test_injected_learner_is_fitted_in_whitened_space(ray_population):
+    class MeanDistance:
+        def fit(self, data):
+            self.radius_ = float(np.linalg.norm(data, axis=1).max())
+            return self
+
+        def decision_function(self, points):
+            return self.radius_ - np.linalg.norm(points, axis=1)
+
+    learner = MeanDistance()
+    region = TrustedRegion(learner=learner).fit(ray_population)
+    assert region.svm is learner
+    expected = learner.decision_function(region.whitener.transform(ray_population))
+    np.testing.assert_array_equal(region.decision_scores(ray_population), expected)
+    assert region.predict_trojan_free(ray_population).all()

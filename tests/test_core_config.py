@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.config import DetectorConfig
+from repro.core.config import RETIRED_KEYS, DetectorConfig
 
 
 def test_defaults_construct():
     config = DetectorConfig()
     assert config.kde_samples == 100_000
-    assert config.regression_mode == "latent_gain"
+    assert not any(hasattr(config, key) for key in RETIRED_KEYS)
 
 
 @pytest.mark.parametrize(
@@ -26,16 +26,12 @@ def test_defaults_construct():
         dict(kmm_B=0.0),
         dict(kmm_resample_size=0),
         dict(svm_max_training_samples=5),
-        dict(regression_mode="magic"),
+        dict(n_jobs=1.5),
     ],
 )
 def test_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
         DetectorConfig(**kwargs)
-
-
-def test_accepts_independent_regression_mode():
-    assert DetectorConfig(regression_mode="independent").regression_mode == "independent"
 
 
 def test_accepts_boundary_values():

@@ -6,7 +6,6 @@ import pytest
 from repro.core.config import DetectorConfig
 from repro.core.datasets import (
     DatasetBundle,
-    build_all,
     build_s1,
     build_s3,
     build_s4,
@@ -14,6 +13,7 @@ from repro.core.datasets import (
     tail_enhance,
     train_regressions,
 )
+from repro.learn.mars import MultiOutputMars
 from tests.conftest import small_detector_config
 
 
@@ -57,13 +57,14 @@ class TestBuilders:
         assert r2.mean() > 0.5
 
     def test_independent_mode_trains_per_output(self, experiment_data, config):
-        from dataclasses import replace
-
         model = train_regressions(
             experiment_data.sim_pcms,
             experiment_data.sim_fingerprints,
-            replace(config, regression_mode="independent"),
+            config,
+            regression=MultiOutputMars,
         )
+        assert isinstance(model, MultiOutputMars)
+        assert len(model.models_) == experiment_data.sim_fingerprints.shape[1]
         pred = model.predict(experiment_data.sim_pcms)
         assert pred.shape == experiment_data.sim_fingerprints.shape
 
@@ -98,17 +99,6 @@ class TestBuilders:
         for row in s4[:10]:
             distances = np.abs(all_predictions - row).sum(axis=1)
             assert distances.min() < 1e-9
-
-    def test_build_all_produces_all_five(self, experiment_data, config):
-        bundle = build_all(
-            experiment_data.sim_pcms,
-            experiment_data.sim_fingerprints,
-            experiment_data.dutt_pcms,
-            config=config,
-        )
-        assert bundle.names() == ["S1", "S2", "S3", "S4", "S5"]
-        assert bundle["S2"].shape[0] == config.kde_samples
-        assert bundle["S5"].shape[0] == config.kde_samples
 
     def test_tail_enhance_is_seeded(self, experiment_data, config):
         a = tail_enhance(experiment_data.sim_fingerprints, config, rng=3)

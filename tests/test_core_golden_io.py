@@ -79,13 +79,21 @@ class TestConfigIo:
             load_detector_config(path)
 
     def test_retired_engine_key_dropped(self, tmp_path):
-        # Configs saved before the population-engine switch was retired
-        # carry "engine"; that key alone is dropped, others still fail.
+        # Configs saved before the population-engine, boundary-method and
+        # regression-mode switches were retired carry those keys; each is
+        # dropped while it holds the one value still supported, any other
+        # value is refused, and unknown keys still fail.
         config = DetectorConfig(kde_samples=1234, seed=99)
-        raw = {**dataclasses.asdict(config), "engine": "batched"}
+        raw = {**dataclasses.asdict(config), "engine": "batched",
+               "boundary_method": "ocsvm", "regression_mode": "latent_gain"}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         assert load_detector_config(path) == config
         path.write_text(json.dumps({**raw, "flux_capacitor": True}))
         with pytest.raises(ValueError, match=r"\['flux_capacitor'\]"):
             load_detector_config(path)
+        for key, value in (("boundary_method", "mahalanobis"),
+                           ("regression_mode", "independent")):
+            path.write_text(json.dumps({**raw, key: value}))
+            with pytest.raises(ValueError, match=f"{key}.*{value}"):
+                load_detector_config(path)

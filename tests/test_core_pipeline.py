@@ -23,7 +23,10 @@ class TestStaging:
 
     def test_silicon_builds_b3_b4_b5(self, fitted_detector):
         assert set(fitted_detector.boundaries) == {"B1", "B2", "B3", "B4", "B5"}
-        assert fitted_detector.datasets.names() == ["S1", "S2", "S3", "S4", "S5"]
+        datasets = fitted_detector.datasets
+        assert datasets.names() == ["S1", "S2", "S3", "S4", "S5"]
+        assert datasets["S2"].shape[0] == fitted_detector.config.kde_samples
+        assert datasets["S5"].shape[0] == fitted_detector.config.kde_samples
 
     def test_pcm_dimension_mismatch_rejected(self, experiment_data):
         detector = GoldenChipFreeDetector(small_detector_config())

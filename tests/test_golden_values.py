@@ -33,10 +33,10 @@ from repro.experiments.ablations import (
     ablate_regression_mode,
     ablate_tail_enhancer,
 )
+from repro.experiments.baselines import GpdTailEnhancer
 from repro.experiments.platformcfg import PlatformConfig, generate_experiment_data
 from repro.experiments.table1 import run_table1
 from repro.learn.mars import MultiOutputMars
-from repro.stats.evt import GpdTailEnhancer
 
 #: SHA-256 of the raw float64 bytes of each synthesized array at seed 16.
 GOLDEN_DIGESTS = {

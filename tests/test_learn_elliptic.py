@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.learn.elliptic import EllipticEnvelope
+from repro.experiments.baselines import EllipticEnvelope
 
 
 @pytest.fixture()

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.core.boundaries import TrustedRegion
 from repro.core.pipeline import BOUNDARY_NAMES, GoldenChipFreeDetector
 from repro.learn.mars import MarsRegression
 from repro.serve import bundle
@@ -54,6 +55,34 @@ def _rewrite_bundle(src, dst, mutate_header=None, mutate_arrays=None):
     with open(dst, "wb") as handle:
         np.savez(handle, **entries)
     return str(dst)
+
+
+def _export_edited(detector, path, monkeypatch, config=None, region_params=None):
+    """Export ``detector`` with extra keys in its config / every region's params.
+
+    Writes the states earlier library versions produced (or hostile ones);
+    the payload digest is computed over the edited state, so the bundle
+    passes the integrity check and reaches the decoder.
+    """
+    detector_state = GoldenChipFreeDetector.to_state
+    region_state = TrustedRegion.to_state
+
+    def edited_detector_state(self):
+        state = detector_state(self)
+        state["config"].update(config or {})
+        return state
+
+    def edited_region_state(self):
+        state = region_state(self)
+        state["params"].update(region_params or {})
+        return state
+
+    monkeypatch.setattr(GoldenChipFreeDetector, "to_state", edited_detector_state)
+    monkeypatch.setattr(TrustedRegion, "to_state", edited_region_state)
+    try:
+        return export_bundle(detector, path).path
+    finally:
+        monkeypatch.undo()
 
 
 class TestExport:
@@ -159,28 +188,27 @@ class TestRoundTrip:
     def test_bundle_with_retired_keys_loads(self, fitted_detector,
                                             experiment_data, tmp_path,
                                             monkeypatch):
-        """Bundles written before the engine/forward switches were retired.
+        """Bundles written before the engine/forward/method switches were retired.
 
-        Their detector config carries ``"engine"`` and every MARS model's
-        params carry ``"forward"``; both are dropped on load.
+        Their detector config carries ``"engine"``, ``"boundary_method"``
+        and ``"regression_mode"``, every region's params carry ``"method"``
+        and every MARS model's params carry ``"forward"``; all are dropped
+        on load while they hold the one value still supported.
         """
-        detector_state = GoldenChipFreeDetector.to_state
         mars_state = MarsRegression.to_state
-
-        def old_detector_state(self):
-            state = detector_state(self)
-            state["config"]["engine"] = "batched"
-            return state
 
         def old_mars_state(self):
             state = mars_state(self)
             state["params"]["forward"] = "fast"
             return state
 
-        monkeypatch.setattr(GoldenChipFreeDetector, "to_state", old_detector_state)
         monkeypatch.setattr(MarsRegression, "to_state", old_mars_state)
-        path = export_bundle(fitted_detector, tmp_path / "old.npz").path
-        monkeypatch.undo()
+        path = _export_edited(
+            fitted_detector, tmp_path / "old.npz", monkeypatch,
+            config={"engine": "batched", "boundary_method": "ocsvm",
+                    "regression_mode": "latent_gain"},
+            region_params={"method": "ocsvm"},
+        )
 
         restored = load_bundle(path).detector
         assert restored.config == fitted_detector.config
@@ -259,6 +287,46 @@ class TestRejection:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(BundleFormatError):
             load_bundle(path)
+
+    def test_unknown_config_key(self, fitted_detector, tmp_path, monkeypatch):
+        path = _export_edited(fitted_detector, tmp_path / "unknown.npz",
+                              monkeypatch, config={"flux_capacitor": True})
+        with pytest.raises(BundleFormatError, match="flux_capacitor"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("config, region_params, match", [
+        ({"boundary_method": "mahalanobis"}, None, "boundary_method.*mahalanobis"),
+        ({"regression_mode": "independent"}, None, "regression_mode.*independent"),
+        (None, {"method": "mahalanobis"}, "method.*mahalanobis"),
+    ])
+    def test_retired_key_with_a_retired_value(self, fitted_detector, tmp_path,
+                                              monkeypatch, config, region_params,
+                                              match):
+        path = _export_edited(fitted_detector, tmp_path / "retired.npz",
+                              monkeypatch, config=config,
+                              region_params=region_params)
+        with pytest.raises(BundleFormatError, match=match):
+            load_bundle(path)
+
+    def test_elliptic_payload(self, bundle_path, tmp_path):
+        """A boundary learner tagged ``elliptic`` (no longer a codec) is refused."""
+        with np.load(bundle_path, allow_pickle=False) as archive:
+            entries = {name: archive[name] for name in archive.files}
+        meta = entries[bundle.META_ENTRY].tobytes()
+        meta = meta.replace(b'"__obj__": "ocsvm"', b'"__obj__": "elliptic"')
+        assert b'"elliptic"' in meta
+        payload = {name: array for name, array in entries.items()
+                   if name not in (bundle.HEADER_ENTRY, bundle.META_ENTRY)}
+        digest = bundle.payload_digest(meta, payload)
+
+        def retag(entries):
+            entries[bundle.META_ENTRY] = np.frombuffer(meta, dtype=np.uint8)
+
+        bad = _rewrite_bundle(bundle_path, tmp_path / "elliptic.npz",
+                              mutate_header=lambda h: h.update(digest=digest),
+                              mutate_arrays=retag)
+        with pytest.raises(BundleFormatError, match="elliptic"):
+            load_bundle(bad)
 
     def test_forged_digest(self, bundle_path, tmp_path):
         bad = _rewrite_bundle(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats.evt import GpdTailEnhancer
+from repro.experiments.baselines import GpdTailEnhancer
 
 
 @pytest.fixture()

@@ -8,9 +8,9 @@ from repro.stats.kde import (
     AdaptiveKde,
     EpanechnikovKde,
     epanechnikov_bandwidth,
-    epanechnikov_kernel_value,
     unit_ball_volume,
 )
+from tests.oracles import epanechnikov_kernel_value
 
 
 class TestKernelMaths:

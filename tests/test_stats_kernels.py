@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.stats.kernels import (
-    linear_kernel,
     median_heuristic_gamma,
     median_heuristic_gamma_from_sq,
     median_heuristic_gamma_strided,
     pairwise_sq_dists,
-    polynomial_kernel,
     rbf_kernel,
 )
 from tests.oracles import median_heuristic_gamma_reference
@@ -60,22 +58,6 @@ class TestRbf:
         k = rbf_kernel(x, gamma=0.5)
         eigvals = np.linalg.eigvalsh(k)
         assert eigvals.min() > -1e-8
-
-
-class TestOtherKernels:
-    def test_linear_matches_dot(self):
-        x = np.random.default_rng(0).standard_normal((4, 3))
-        np.testing.assert_allclose(linear_kernel(x), x @ x.T)
-
-    def test_polynomial_degree_one_is_affine_linear(self):
-        x = np.random.default_rng(0).standard_normal((4, 3))
-        np.testing.assert_allclose(
-            polynomial_kernel(x, degree=1, coef0=0.0, gamma=1.0), x @ x.T
-        )
-
-    def test_polynomial_rejects_bad_degree(self):
-        with pytest.raises(ValueError):
-            polynomial_kernel(np.zeros((2, 2)), degree=0)
 
 
 class TestMedianHeuristic:
