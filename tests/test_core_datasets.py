@@ -100,6 +100,25 @@ class TestBuilders:
             distances = np.abs(all_predictions - row).sum(axis=1)
             assert distances.min() < 1e-9
 
+    def test_build_all_produces_all_five(self, experiment_data, config):
+        # The builders chained as the pipeline chains them, stage by stage.
+        model = train_regressions(
+            experiment_data.sim_pcms, experiment_data.sim_fingerprints, config
+        )
+        bundle = DatasetBundle()
+        bundle.sets["S1"] = build_s1(experiment_data.sim_fingerprints)
+        bundle.sets["S2"] = tail_enhance(bundle.sets["S1"], config, rng=0)
+        bundle.sets["S3"] = build_s3(model, experiment_data.dutt_pcms)
+        bundle.sets["S4"] = build_s4(
+            model, experiment_data.sim_pcms, experiment_data.dutt_pcms, config, rng=0
+        )
+        bundle.sets["S5"] = tail_enhance(bundle.sets["S4"], config, rng=0)
+        assert bundle.names() == ["S1", "S2", "S3", "S4", "S5"]
+        assert bundle["S2"].shape[0] == config.kde_samples
+        assert bundle["S5"].shape[0] == config.kde_samples
+        widths = {bundle[name].shape[1] for name in bundle.names()}
+        assert widths == {experiment_data.sim_fingerprints.shape[1]}
+
     def test_tail_enhance_is_seeded(self, experiment_data, config):
         a = tail_enhance(experiment_data.sim_fingerprints, config, rng=3)
         b = tail_enhance(experiment_data.sim_fingerprints, config, rng=3)
