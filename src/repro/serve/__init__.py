@@ -16,9 +16,9 @@ offline-train / online-inference split made real:
   :class:`~repro.serve.engine.BatchingEngine` (micro-batching with a
   bounded arrival-ordered queue and explicit 429-style backpressure).
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — a zero-dependency
-  threaded HTTP JSON API (``POST /v1/score``, ``GET /healthz`` /
-  ``/readyz`` / ``/metricz``) plus the typed Python client the tests and
-  the load generator drive it with.
+  threaded HTTP API (``POST /v1/score`` in a binary score frame or JSON,
+  ``GET /healthz`` / ``/readyz`` / ``/metricz``) plus the typed Python
+  client the tests and the load generator drive it with.
 
 Everything is stdlib + numpy; the CLI front ends are
 ``python -m repro.cli export-bundle | serve | score``.

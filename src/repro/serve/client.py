@@ -9,6 +9,16 @@ command; doubles as executable documentation of the wire format::
     result.verdicts["B5"]        # boolean array, True = Trojan-free
     client.metrics()["counters"]["serve.devices_scored"]
 
+``score`` sends the fingerprints as a binary score frame
+(``Content-Type: application/octet-stream``; an ``ndim`` and the
+dimensions as ``<u8``, then row-major little-endian float64 values, see
+:func:`~repro.serve.engine.encode_frame`) to ``/v1/score``, with the
+boundaries in the query string (``?boundaries=B1,B5``).  The server
+answers with a frame of the ``(k, n)`` float64 scores whose row order its
+``X-Boundaries`` header gives; the verdicts are derived from them by
+:meth:`~repro.serve.engine.ScoreResult.from_scores`.  The other endpoints,
+and every error, are JSON.
+
 A client keeps one HTTP/1.1 keep-alive connection and sends every request
 on it, so a one-device screening request costs no TCP handshake.  A lock
 serializes requests, so one instance can be shared between threads (they
@@ -34,7 +44,12 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.serve.engine import ScoreResult
+from repro.serve.engine import (
+    FRAME_CONTENT_TYPE,
+    ScoreResult,
+    decode_frame,
+    encode_frame,
+)
 
 #: Failures that mean the server closed a kept-alive connection before it
 #: answered: the request went nowhere and can be sent again.
@@ -53,7 +68,7 @@ class ServerError(RuntimeError):
 
 
 class ScoringClient:
-    """Minimal JSON-over-HTTP client for a :class:`DetectorServer`.
+    """Minimal HTTP client for a :class:`DetectorServer`.
 
     Parameters
     ----------
@@ -93,38 +108,40 @@ class ScoringClient:
 
     def _request(self, method: str, path: str,
                  payload: Optional[dict] = None) -> dict:
-        body = None
-        headers = {"Accept": "application/json"}
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        with self._lock:
-            status, reason, data = self._exchange(
-                method, self._prefix + path, body, headers
-            )
-        if status >= 400:
-            raise self._to_server_error(status, reason, data)
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
+        _, data = self._exchange(method, path, body, "application/json")
         return json.loads(data.decode("utf-8"))
 
-    def _exchange(self, method: str, path: str, body: Optional[bytes],
-                  headers: dict) -> Tuple[int, str, bytes]:
-        """One request/response on the kept-alive connection (lock held)."""
-        connection = self._connection
-        reused = connection.sock is not None
-        try:
+    def _exchange(self, method: str, path: str, body: Optional[bytes] = None,
+                  content_type: Optional[str] = None,
+                  ) -> Tuple[http.client.HTTPResponse, bytes]:
+        """One request/response on the kept-alive connection.
+
+        Returns the (fully read) response and its body; an error status
+        raises :class:`ServerError`.
+        """
+        headers = {} if body is None else {"Content-Type": content_type}
+        path = self._prefix + path
+        with self._lock:
+            connection = self._connection
+            reused = connection.sock is not None
             try:
-                connection.request(method, path, body=body, headers=headers)
-                reply = connection.getresponse()
-            except _STALE_CONNECTION:
-                if not reused:
-                    raise
+                try:
+                    connection.request(method, path, body=body, headers=headers)
+                    reply = connection.getresponse()
+                except _STALE_CONNECTION:
+                    if not reused:
+                        raise
+                    connection.close()
+                    connection.request(method, path, body=body, headers=headers)
+                    reply = connection.getresponse()
+                data = reply.read()
+            except BaseException:
                 connection.close()
-                connection.request(method, path, body=body, headers=headers)
-                reply = connection.getresponse()
-            return reply.status, reply.reason, reply.read()
-        except BaseException:
-            connection.close()
-            raise
+                raise
+        if reply.status >= 400:
+            raise self._to_server_error(reply.status, reply.reason, data)
+        return reply, data
 
     @staticmethod
     def _to_server_error(status: int, reason: str, data: bytes) -> ServerError:
@@ -177,21 +194,20 @@ class ScoringClient:
         """``POST /v1/score``: screen one device or one batch.
 
         Returns the same :class:`~repro.serve.engine.ScoreResult` shape the
-        in-process engine produces (scores/verdicts as numpy arrays).
+        in-process engine produces (scores/verdicts as writeable numpy
+        arrays, bit-identical to in-process scoring).
         """
-        array = np.asarray(fingerprints, dtype=float)
-        payload: dict = {"fingerprints": array.tolist()}
+        path = "/v1/score"
         if boundaries is not None:
-            payload["boundaries"] = list(boundaries)
-        reply = self._request("POST", "/v1/score", payload)
-        scores = {
-            name: np.asarray(block["scores"], dtype=float)
-            for name, block in reply["boundaries"].items()
-        }
-        verdicts = {
-            name: np.asarray(block["trojan_free"], dtype=bool)
-            for name, block in reply["boundaries"].items()
-        }
-        return ScoreResult(
-            scores=scores, verdicts=verdicts, n_devices=int(reply["n_devices"])
+            path += "?boundaries=" + urllib.parse.quote(
+                ",".join(boundaries), safe=",")
+        reply, data = self._exchange(
+            "POST", path, encode_frame(np.asarray(fingerprints, dtype=float)),
+            FRAME_CONTENT_TYPE,
         )
+        names = reply.getheader("X-Boundaries", "").split(",")
+        scores = decode_frame(bytearray(data))
+        if scores.ndim != 2 or scores.shape[0] != len(names):
+            raise ValueError(f"response frame of shape {scores.shape} does "
+                             f"not match X-Boundaries {names}")
+        return ScoreResult.from_scores(dict(zip(names, scores)))

@@ -27,10 +27,18 @@ The engine owns a private :class:`repro.obs.metrics.MetricsRegistry`
 ``serve.latency_ms`` histograms, the ``serve.queue_depth`` gauge and
 per-boundary verdict counters); the server's ``GET /metricz`` endpoint
 snapshots it without touching the process-global observability session.
+
+:func:`encode_frame` / :func:`decode_frame` are the binary score frame of
+``POST /v1/score``, shared by server and client: a ``<u8`` ``ndim``, then
+``ndim`` ``<u8`` dimensions, then the values as row-major little-endian
+float64.  The request frame carries the fingerprints, the response frame
+the ``(k, n)`` scores; verdicts are derived from scores by
+:meth:`ScoreResult.from_scores`, so the frame carries scores only.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 import time
 from collections import deque
@@ -44,6 +52,14 @@ from repro.obs.metrics import MetricsRegistry
 #: Hard cap on devices per request; a screening service should reject a
 #: runaway payload rather than attempt a multi-gigabyte kernel block.
 DEFAULT_MAX_REQUEST_DEVICES = 10_000
+#: Content type of a binary score frame (:func:`encode_frame`).
+FRAME_CONTENT_TYPE = "application/octet-stream"
+#: Most dimensions a frame header may declare.  Scoring takes one or two;
+#: the cap bounds header parsing, and a 3-D frame still reaches validation
+#: (``bad_shape``).
+MAX_FRAME_NDIM = 8
+_WORD = 8  # bytes per header word and per float64 value
+_INT64_MAX = 2 ** 63 - 1
 
 
 class RequestValidationError(ValueError):
@@ -73,6 +89,19 @@ class ScoreResult:
     verdicts: Dict[str, np.ndarray]
     n_devices: int
 
+    @classmethod
+    def from_scores(cls, scores: Dict[str, np.ndarray]) -> "ScoreResult":
+        """The result of non-empty per-boundary ``scores``.
+
+        This is the one verdict rule: a device is Trojan-free on a boundary
+        when its decision score is ``>= 0``.
+        """
+        return cls(
+            scores=scores,
+            verdicts={name: values >= 0.0 for name, values in scores.items()},
+            n_devices=len(next(iter(scores.values()))),
+        )
+
     def to_json(self) -> dict:
         """JSON-ready representation (the HTTP response body).
 
@@ -89,6 +118,52 @@ class ScoreResult:
                 for name in self.scores
             },
         }
+
+
+def encode_frame(values) -> bytes:
+    """``values`` as a binary score frame (shape header + float64 body)."""
+    array = np.ascontiguousarray(values, dtype="<f8")
+    header = struct.pack(f"<{1 + array.ndim}Q", array.ndim, *array.shape)
+    return header + array.tobytes()
+
+
+def _bad_frame(message: str) -> RequestValidationError:
+    return RequestValidationError("bad_frame", message)
+
+
+def decode_frame(body) -> np.ndarray:
+    """The float64 array a binary score frame holds.
+
+    The array is a view of ``body`` (read-only when ``body`` is ``bytes``).
+    The header is checked in Python integers before anything is allocated:
+    a short or over-long body, more than :data:`MAX_FRAME_NDIM` dimensions
+    or dimensions whose byte size overflows int64 raise
+    :class:`RequestValidationError` ``bad_frame``.  The shape itself is
+    left to request validation.
+    """
+    size = len(body)
+    if size < _WORD:
+        raise _bad_frame(f"frame of {size} bytes has no {_WORD}-byte header")
+    (ndim,) = struct.unpack_from("<Q", body)
+    if ndim > MAX_FRAME_NDIM:
+        raise _bad_frame(f"frame declares {ndim} dimensions, "
+                         f"cap is {MAX_FRAME_NDIM}")
+    offset = _WORD * (1 + ndim)
+    if size < offset:
+        raise _bad_frame(f"frame of {size} bytes is shorter than its "
+                         f"{offset}-byte header")
+    shape = struct.unpack_from(f"<{ndim}Q", body, _WORD)
+    count = extent = 1
+    for dim in shape:
+        count *= dim
+        extent *= max(dim, 1)  # numpy sizes zero-length arrays by this too
+    if extent * _WORD > _INT64_MAX:
+        raise _bad_frame(f"frame shape {shape} overflows int64")
+    if size != offset + _WORD * count:
+        raise _bad_frame(f"frame of shape {shape} needs "
+                         f"{offset + _WORD * count} bytes, got {size}")
+    return np.frombuffer(body, dtype="<f8", count=count,
+                         offset=offset).reshape(shape)
 
 
 class ScoringEngine:
@@ -226,11 +301,10 @@ class ScoringEngine:
         array, names = self.validate_request(fingerprints, boundaries)
         with self._lock:
             scores = self.detector.decision_scores_batch(array, boundaries=names)
-        verdicts = {name: values >= 0.0 for name, values in scores.items()}
-        self._record(array.shape[0], verdicts, time.perf_counter() - start)
-        return ScoreResult(
-            scores=scores, verdicts=verdicts, n_devices=int(array.shape[0])
-        )
+        result = ScoreResult.from_scores(scores)
+        self._record(result.n_devices, result.verdicts,
+                     time.perf_counter() - start)
+        return result
 
     def _record(self, n_devices: int, verdicts: Dict[str, np.ndarray],
                 seconds: float) -> None:
@@ -400,12 +474,9 @@ class BatchingEngine:
                 offset = 0
                 for member in members:
                     n = member.fingerprints.shape[0]
-                    member.result = ScoreResult(
-                        scores={k: v[offset:offset + n]
-                                for k, v in result.scores.items()},
-                        verdicts={k: v[offset:offset + n]
-                                  for k, v in result.verdicts.items()},
-                        n_devices=n,
+                    member.result = ScoreResult.from_scores(
+                        {k: v[offset:offset + n]
+                         for k, v in result.scores.items()}
                     )
                     offset += n
             except BaseException as error:  # surface to every waiter

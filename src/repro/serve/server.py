@@ -1,15 +1,32 @@
-"""Zero-dependency threaded HTTP JSON API over the scoring engine.
+"""Zero-dependency threaded HTTP API over the scoring engine.
 
 Endpoints
 ---------
 ``POST /v1/score``
-    Body: ``{"fingerprints": [[...], ...], "boundaries": ["B5", ...]}``
-    (a single flat vector is accepted as a one-device batch; ``boundaries``
-    is optional and defaults to every boundary the bundle carries).
-    Response: ``{"n_devices": n, "boundaries": {"B5": {"trojan_free":
-    [...], "scores": [...]}}}``.  Validation failures return **400** with a
-    structured body ``{"error": {"code": ..., "message": ...}}``; a full
-    queue returns **429** — the server never crashes on a bad payload.
+    Scores one device batch.  The server picks the wire format from the
+    request's ``Content-Type``:
+
+    * ``application/octet-stream`` — a binary score frame
+      (:func:`~repro.serve.engine.encode_frame`): ``ndim`` as ``<u8``,
+      then ``ndim`` ``<u8`` dimensions, then the fingerprints as row-major
+      little-endian float64.  Boundaries go in the query string,
+      ``/v1/score?boundaries=B1,B5`` (default: the server's default set).
+      The answer is a frame holding the ``(k, n)`` float64 scores, one row
+      per boundary in the order the ``X-Boundaries`` response header gives
+      (``B1,B5``).  A device is Trojan-free where its score is ``>= 0``.
+      This is the format :class:`~repro.serve.client.ScoringClient` sends:
+      it costs no text conversion on either side.
+    * anything else — JSON: ``{"fingerprints": [[...], ...], "boundaries":
+      ["B5", ...]}`` (a single flat vector is accepted as a one-device
+      batch; ``boundaries`` is optional).  Response: ``{"n_devices": n,
+      "boundaries": {"B5": {"trojan_free": [...], "scores": [...]}}}``.
+
+    Both formats go through the same validation.  Errors are JSON in
+    either format: validation failures return **400** with a structured
+    body ``{"error": {"code": ..., "message": ...}}`` (a malformed frame
+    header is ``bad_frame``, unparseable JSON ``bad_json``), an oversized
+    body **413** and a full queue **429** — the server never crashes on a
+    bad payload.
 ``GET /healthz``
     Liveness: always ``200 {"status": "ok"}`` while the process serves.
 ``GET /readyz``
@@ -17,10 +34,11 @@ Endpoints
     ``503`` otherwise.
 ``GET /metricz``
     JSON snapshot of the engine's metrics registry (``serve.requests``,
-    ``serve.devices_scored``, ``serve.connections`` accepted,
-    ``serve.batch_size`` / ``serve.latency_ms`` histograms,
-    ``serve.queue_depth`` gauge, per-boundary verdict counters) plus
-    bundle identity (digest, schema version, boundaries).
+    ``serve.devices_scored``, ``serve.connections`` accepted, score
+    requests per wire format as ``serve.requests.frame`` /
+    ``serve.requests.json``, ``serve.batch_size`` / ``serve.latency_ms``
+    histograms, ``serve.queue_depth`` gauge, per-boundary verdict
+    counters) plus bundle identity (digest, schema version, boundaries).
 
 Built on :class:`http.server.ThreadingHTTPServer` — one thread per
 connection feeding the shared :class:`~repro.serve.engine.BatchingEngine`,
@@ -45,15 +63,20 @@ import json
 import socket
 import threading
 import time
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.serve.bundle import LoadedBundle, load_bundle
 from repro.serve.engine import (
+    FRAME_CONTENT_TYPE,
     BatchingEngine,
     QueueFullError,
     RequestValidationError,
+    ScoreResult,
     ScoringEngine,
+    decode_frame,
+    encode_frame,
 )
 
 #: Reject request bodies beyond this size before reading them fully.
@@ -66,6 +89,40 @@ _DRAIN_CHUNK = 64 * 1024
 #: How long a connection closed with its request body unread keeps
 #: discarding input after the response (see ``_Handler._linger``).
 _LINGER_S = 2.0
+
+
+def _json_request(body: bytes) -> Tuple[object, Optional[List[str]]]:
+    """Fingerprints and boundaries of a JSON score request."""
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise RequestValidationError("bad_json", f"unparseable body: {error}")
+    if not isinstance(payload, dict) or "fingerprints" not in payload:
+        raise RequestValidationError(
+            "bad_request", 'body must be {"fingerprints": [...]}'
+        )
+    boundaries = payload.get("boundaries")
+    if boundaries is not None and (
+        not isinstance(boundaries, list)
+        or not all(isinstance(b, str) for b in boundaries)
+    ):
+        raise RequestValidationError(
+            "bad_request", '"boundaries" must be a list of names'
+        )
+    return payload["fingerprints"], boundaries
+
+
+def _query_boundaries(query: str) -> Optional[List[str]]:
+    """Boundaries of a frame request: ``boundaries=B1,B5`` or None."""
+    params = urllib.parse.parse_qs(query, keep_blank_values=True)
+    values = params.pop("boundaries", None)
+    if params or (values is not None and len(values) != 1):
+        raise RequestValidationError(
+            "bad_request", "the query takes one parameter, boundaries=B1,B5"
+        )
+    if values is None:
+        return None
+    return values[0].split(",") if values[0] else []
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -93,16 +150,27 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging is the metrics registry's job
 
-    def _send_json(self, status: int, payload: dict,
-                   close: bool = False) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _send(self, status: int, body: bytes, content_type: str,
+              close: bool = False, boundaries: Optional[str] = None) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if boundaries is not None:
+            self.send_header("X-Boundaries", boundaries)
         if close:
             self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, status: int, payload: dict,
+                   close: bool = False) -> None:
+        self._send(status, json.dumps(payload).encode("utf-8"),
+                   "application/json", close=close)
+
+    def _send_frame(self, result: ScoreResult) -> None:
+        """The scores as a ``(k, n)`` frame, rows in ``X-Boundaries`` order."""
+        self._send(200, encode_frame(list(result.scores.values())),
+                   FRAME_CONTENT_TYPE, boundaries=",".join(result.scores))
 
     def _send_error_json(self, status: int, code: str, message: str,
                          close: bool = False) -> None:
@@ -172,7 +240,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         length = self._content_length()
-        if self.path != "/v1/score":
+        route, has_query, query = self.path.partition("?")
+        frame = self.headers.get_content_type() == FRAME_CONTENT_TYPE
+        if route != "/v1/score" or (has_query and not frame):
             self._reject_unread(length, 404, "not_found",
                                 f"no route {self.path!r}")
             return
@@ -187,28 +257,17 @@ class _Handler(BaseHTTPRequestHandler):
             self._reject_unread(length, 413, "too_large",
                                 f"request body exceeds {MAX_BODY_BYTES} bytes")
             return
+        body = self.rfile.read(length)
+        self.server.engine.registry.counter(
+            "serve.requests.frame" if frame else "serve.requests.json").inc()
         try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            self._send_error_json(400, "bad_json", f"unparseable body: {error}")
-            return
-        if not isinstance(payload, dict) or "fingerprints" not in payload:
-            self._send_error_json(
-                400, "bad_request", 'body must be {"fingerprints": [...]}'
-            )
-            return
-        boundaries = payload.get("boundaries")
-        if boundaries is not None and (
-            not isinstance(boundaries, list)
-            or not all(isinstance(b, str) for b in boundaries)
-        ):
-            self._send_error_json(
-                400, "bad_request", '"boundaries" must be a list of names'
-            )
-            return
-        try:
+            if frame:
+                fingerprints = decode_frame(body)
+                boundaries = _query_boundaries(query)
+            else:
+                fingerprints, boundaries = _json_request(body)
             result = self.server.batcher.submit(
-                payload["fingerprints"], boundaries=boundaries
+                fingerprints, boundaries=boundaries
             )
         except RequestValidationError as error:
             self._send_error_json(400, error.code, error.message)
@@ -219,11 +278,14 @@ class _Handler(BaseHTTPRequestHandler):
         except TimeoutError:
             self._send_error_json(504, "timeout", "scoring timed out")
             return
-        self._send_json(200, result.to_json())
+        if frame:
+            self._send_frame(result)
+        else:
+            self._send_json(200, result.to_json())
 
 
 class DetectorServer(ThreadingHTTPServer):
-    """The screening service: a loaded bundle behind the HTTP JSON API.
+    """The screening service: a loaded bundle behind the HTTP API.
 
     Parameters
     ----------

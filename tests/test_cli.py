@@ -55,3 +55,26 @@ def test_ablation_command(capsys):
 def test_ablation_rejects_unknown_study():
     with pytest.raises(SystemExit):
         main(["ablation", "warp-drive"])
+
+
+def test_score_url_prints_the_bundle_counts(tmp_path, capsys):
+    """``score --url`` against a served display-lot bundle flags what
+    ``score --bundle`` flags."""
+    from repro.serve.server import DetectorServer
+
+    data, bundle = str(tmp_path / "run.npz"), str(tmp_path / "detector.npz")
+    assert main(["generate", data]) == 0
+    assert main(["export-bundle", bundle, "--data", data]) == 0
+    capsys.readouterr()
+    assert main(["score", "--data", data, "--bundle", bundle]) == 0
+    local = capsys.readouterr().out
+    with DetectorServer(bundle, port=0) as server:
+        assert main(["score", "--data", data, "--url", server.url]) == 0
+    remote = capsys.readouterr().out
+
+    def flagged(out):
+        return [line.strip() for line in out.splitlines() if "flagged" in line]
+
+    expected = [f"{name}: flagged {count} of 120" for name, count in
+                zip(("B1", "B2", "B3", "B4", "B5"), (120, 117, 120, 120, 84))]
+    assert flagged(remote) == flagged(local) == expected
