@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-baseline bench-cold bench-serve bench-scaling perfbench cache-stats table1 smoke-obs smoke-serve
+.PHONY: test bench bench-baseline bench-cold bench-serve bench-scaling perfbench cache-stats table1 smoke-obs smoke-serve examples
 
 test:
 	$(PYTHON) -m pytest -q
@@ -18,6 +18,13 @@ smoke-obs:
 # The same files run as part of `make test` (they live in tests/).
 smoke-serve:
 	$(PYTHON) -m pytest -q tests/test_serve_bundle.py tests/test_serve_engine.py tests/test_serve_server.py tests/test_import_graph.py
+
+# Run every example script end to end; stop at the first that fails.
+examples:
+	@for example in examples/*.py; do \
+		echo "== $$example"; \
+		$(PYTHON) $$example || exit 1; \
+	done
 
 # Regression gate: fail when any component is >20% slower than the
 # committed baseline (benchmarks/BENCH_components.json), then check the

@@ -37,6 +37,7 @@ from repro.core.pipeline import GoldenChipFreeDetector
 from repro.experiments.platformcfg import PlatformConfig, generate_experiment_data
 from repro.serve.bundle import export_bundle
 from repro.serve.client import ScoringClient
+from repro.serve.engine import DEFAULT_MAX_BATCH
 from repro.serve.server import DetectorServer
 
 
@@ -122,7 +123,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--boundary", action="append", default=None,
                         help="score only these boundaries (repeatable; "
                              "default: all five)")
-    parser.add_argument("--max-batch", type=int, default=256,
+    parser.add_argument("--max-batch", type=int, default=DEFAULT_MAX_BATCH,
                         help="server-side micro-batch size cap")
     parser.add_argument("--min-throughput", type=float, default=None,
                         help="exit 1 when devices/s lands below this gate")

@@ -56,8 +56,9 @@ def main() -> None:
 
             # The service keeps score too.
             counters = client.metrics()["counters"]
-            print(f"server counters: {counters['serve.requests']} request(s), "
-                  f"{counters['serve.devices_scored']} device(s) scored")
+            print(f"server counters: {counters['serve.requests']:.0f} "
+                  f"request(s), {counters['serve.devices_scored']:.0f} "
+                  f"device(s) scored")
 
 
 if __name__ == "__main__":

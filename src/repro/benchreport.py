@@ -174,13 +174,9 @@ def compare_reports(current: dict, baseline: dict, threshold: float = 0.20) -> L
 
 
 def write_run_artifacts(report: dict, run_dir: str, argv: List[str]) -> str:
-    """Persist a bench run through the observability sink + manifest.
+    """Write a run manifest whose ``results`` block holds the timing report.
 
-    Emits one ``{"event": "bench", "component": ..., "seconds": ...}`` JSONL
-    record per component to ``<run_dir>/events.jsonl`` — the same stream
-    format traced pipeline runs use for their spans — and a run manifest
-    whose ``results`` block holds the timing report.  Returns the manifest
-    path.
+    Same manifest format as traced pipeline runs; returns its path.
     """
     from repro.obs.manifest import (
         RunManifest,
@@ -189,19 +185,8 @@ def write_run_artifacts(report: dict, run_dir: str, argv: List[str]) -> str:
         new_run_id,
         write_manifest,
     )
-    from repro.obs.sink import JsonlSink
 
     run_id = os.path.basename(os.path.normpath(run_dir)) or new_run_id()
-    os.makedirs(run_dir, exist_ok=True)
-    with JsonlSink(os.path.join(run_dir, "events.jsonl")) as sink:
-        for component, seconds in report["results"].items():
-            sink.emit({
-                "event": "bench",
-                "run_id": run_id,
-                "component": component,
-                "seconds": seconds,
-                "n_jobs": report["n_jobs"],
-            })
     manifest = RunManifest(
         run_id=run_id,
         command="bench",
@@ -237,8 +222,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--run-dir", type=str, default=None,
-        help="also write events.jsonl + manifest.json for this bench run "
-             "(same sink format as traced pipeline runs)",
+        help="also write manifest.json for this bench run "
+             "(same format as traced pipeline runs)",
     )
     args = parser.parse_args(argv)
     argv_record = list(sys.argv[1:]) if argv is None else list(argv)

@@ -15,7 +15,7 @@ serve         serve a detector bundle over the HTTP screening API
 score         screen devices against a bundle (local) or a server (--url)
 
 Every experiment command accepts ``--trace`` (record spans + metrics and
-write ``<run-dir>/manifest.json`` + ``events.jsonl``), ``--run-dir``
+write ``<run-dir>/manifest.json``), ``--run-dir``
 (defaults to ``runs/<run-id>``), ``--log-level``, and ``--cache`` /
 ``--no-cache`` (enable or disable the content-addressed artifact cache for
 this invocation, overriding the ``REPRO_CACHE`` environment variable;
@@ -48,6 +48,7 @@ from repro.experiments.ablations import (
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.platformcfg import PlatformConfig, generate_experiment_data
 from repro.experiments.table1 import run_table1
+from repro.serve.engine import DEFAULT_MAX_BATCH, DEFAULT_MAX_QUEUE
 
 ABLATIONS = {
     "kde": (ablate_kde, "A1: KDE tail modeling"),
@@ -67,7 +68,7 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--run-dir", type=str, default=None,
-        help="directory for manifest.json + events.jsonl "
+        help="directory for manifest.json "
              "(default: runs/<run-id>; implies nothing without --trace)",
     )
     parser.add_argument(
@@ -138,9 +139,7 @@ def _cmd_figure4(args) -> int:
 
 def _cmd_audit(args) -> int:
     data = _resolve_data(args)
-    detector = GoldenChipFreeDetector(_detector_config(args))
-    detector.fit_premanufacturing(data.sim_pcms, data.sim_fingerprints)
-    detector.fit_silicon(data.dutt_pcms)
+    detector = _fit_detector(args, data)
     verdicts = detector.classify(data.dutt_fingerprints, boundary=args.boundary)
     flagged = int((~verdicts).sum())
     print(f"boundary {args.boundary}: flagged {flagged} of {data.n_devices} devices")
@@ -178,9 +177,8 @@ def _cmd_ablation(args) -> int:
     return 0
 
 
-def _fit_detector(args) -> GoldenChipFreeDetector:
-    """Fit the full three-stage detector on the resolved experiment data."""
-    data = _resolve_data(args)
+def _fit_detector(args, data) -> GoldenChipFreeDetector:
+    """Fit the full three-stage detector on the experiment ``data``."""
     detector = GoldenChipFreeDetector(_detector_config(args))
     detector.fit_premanufacturing(data.sim_pcms, data.sim_fingerprints)
     detector.fit_silicon(data.dutt_pcms)
@@ -188,7 +186,7 @@ def _fit_detector(args) -> GoldenChipFreeDetector:
 
 
 def _cmd_export_bundle(args) -> int:
-    detector = _fit_detector(args)
+    detector = _fit_detector(args, _resolve_data(args))
     info = detector.export_bundle(args.output)
     print(f"wrote bundle {info.path}")
     print(f"  boundaries:     {', '.join(info.header['detector']['boundaries'])}")
@@ -228,8 +226,7 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         print("\nshutting down")
     finally:
-        server.server_close()
-        server.batcher.close()
+        server.stop()
     return 0
 
 
@@ -374,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port (0 = pick an ephemeral port)",
     )
     serve.add_argument(
-        "--max-batch", type=int, default=256,
+        "--max-batch", type=int, default=DEFAULT_MAX_BATCH,
         help="devices per micro-batch scoring pass",
     )
     serve.add_argument(
-        "--max-queue", type=int, default=1024,
+        "--max-queue", type=int, default=DEFAULT_MAX_QUEUE,
         help="queued-request bound; beyond it requests get HTTP 429",
     )
     serve.add_argument(
@@ -438,7 +435,6 @@ def _run_traced(args, argv: List[str]) -> int:
         new_run_id,
         write_manifest,
     )
-    from repro.obs.sink import JsonlSink, write_span_events
     from repro.obs.trace import span
 
     run_dir = args.run_dir or os.path.join("runs", new_run_id())
@@ -467,8 +463,6 @@ def _run_traced(args, argv: List[str]) -> int:
         serve=getattr(args, "_serve", None),
     )
     path = write_manifest(manifest, run_dir)
-    with JsonlSink(os.path.join(run_dir, "events.jsonl")) as sink:
-        write_span_events(sink, spans, run_id=run_id)
     print(f"run manifest: {path}", file=sys.stderr)
     print(f"inspect with: python -m repro.cli report {run_dir}", file=sys.stderr)
     return status

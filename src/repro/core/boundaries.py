@@ -26,6 +26,16 @@ from repro.utils.rng import SeedLike
 from repro.utils.validation import check_2d
 
 
+def trojan_free(scores: np.ndarray) -> np.ndarray:
+    """The paper's Trojan test (Section 2.3) on boundary decision scores.
+
+    A device is Trojan-free where its decision score is non-negative: its
+    fingerprint lies inside the trusted region.  Every verdict the detector
+    and the screening service report comes from here.
+    """
+    return scores >= 0.0
+
+
 class TrustedRegion:
     """A named trusted-region boundary (whitener + one-class SVM).
 
@@ -102,7 +112,7 @@ class TrustedRegion:
             raise RuntimeError(f"TrustedRegion {self.name!r} must be fitted before use")
 
     def decision_scores(self, fingerprints, validate: bool = True) -> np.ndarray:
-        """Decision values; >= 0 means inside the trusted region.
+        """Decision values; :func:`trojan_free` turns them into verdicts.
 
         ``validate=False`` skips the shape/finiteness coercion for callers
         that already validated the batch once (e.g. the pipeline's
@@ -122,7 +132,7 @@ class TrustedRegion:
 
     def predict_trojan_free(self, fingerprints) -> np.ndarray:
         """Boolean array: True where a device is classified Trojan-free."""
-        return self.decision_scores(fingerprints) >= 0.0
+        return trojan_free(self.decision_scores(fingerprints))
 
     @property
     def n_features(self) -> Optional[int]:

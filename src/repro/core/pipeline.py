@@ -24,7 +24,7 @@ import numpy as np
 
 from repro import cache as artifact_cache
 from repro.cache import digest_array
-from repro.core.boundaries import TrustedRegion
+from repro.core.boundaries import TrustedRegion, trojan_free
 from repro.core.config import DetectorConfig, drop_retired_keys
 from repro.core.datasets import (
     DatasetBundle,
@@ -323,6 +323,8 @@ class GoldenChipFreeDetector:
         if isinstance(boundaries, str):
             boundaries = (boundaries,)
         names = tuple(boundaries)
+        if not names:
+            raise ValueError("boundary subset is empty")
         for name in names:
             if name not in self.boundaries:
                 raise KeyError(
@@ -333,11 +335,8 @@ class GoldenChipFreeDetector:
 
     def classify(self, fingerprints, boundary: str = "B5") -> np.ndarray:
         """Classify DUTT fingerprints; True = Trojan-free (inside region)."""
-        (name,) = self._resolve_boundaries(boundary)
-        fingerprints = self._validate_fingerprints(fingerprints)
-        return self.boundaries[name].decision_scores(
-            fingerprints, validate=False
-        ) >= 0.0
+        (verdicts,) = self.classify_batch(fingerprints, boundary).values()
+        return verdicts
 
     def decision_scores_batch(
         self, fingerprints, boundaries: Optional[Iterable[str]] = None
@@ -347,7 +346,8 @@ class GoldenChipFreeDetector:
         The batch is validated **once** and every requested boundary scores
         the same float64 block (each reusing its precomputed support-vector
         norms), so per-boundary overhead amortizes across the subset.
-        Scores are bit-identical to per-boundary :meth:`classify` calls.
+        Each boundary's scores are bit-identical to its own
+        :meth:`~repro.core.boundaries.TrustedRegion.decision_scores`.
         """
         names = self._resolve_boundaries(boundaries)
         fingerprints = self._validate_fingerprints(fingerprints)
@@ -361,7 +361,7 @@ class GoldenChipFreeDetector:
     ) -> Dict[str, np.ndarray]:
         """Per-boundary Trojan-free verdicts for one validated device batch."""
         scores = self.decision_scores_batch(fingerprints, boundaries=boundaries)
-        return {name: values >= 0.0 for name, values in scores.items()}
+        return {name: trojan_free(values) for name, values in scores.items()}
 
     def evaluate(self, fingerprints, infested) -> Dict[str, DetectionMetrics]:
         """FP/FN of every trained boundary over a labelled DUTT population."""

@@ -7,9 +7,9 @@ The subsystem has four parts, all dependency-free and all off by default:
   collection across the :mod:`repro.utils.parallel` process pool;
 * :mod:`repro.obs.metrics` — counters / gauges / histograms fed by the hot
   paths (KDE acceptance ratio, SMO iterations, KMM residuals, ...);
-* :mod:`repro.obs.manifest` + :mod:`repro.obs.sink` — the per-run artifact:
+* :mod:`repro.obs.manifest` — the per-run artifact:
   ``runs/<run-id>/manifest.json`` (config, seeds, git revision, versions,
-  span tree, metrics, results) plus an optional JSONL event stream;
+  span tree, metrics, results);
 * :mod:`repro.obs.report` — the ``repro.cli report`` pretty-printer.
 
 Enabling and disabling is session-scoped::

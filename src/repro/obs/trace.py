@@ -85,7 +85,7 @@ class Span:
     worker: Optional[int] = None
 
     def to_dict(self) -> dict:
-        """JSON-ready representation (used by the manifest and the sink)."""
+        """JSON-ready representation (used by the manifest)."""
         return {
             "name": self.name,
             "id": self.span_id,

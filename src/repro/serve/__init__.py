@@ -12,9 +12,10 @@ offline-train / online-inference split made real:
   fresh process; loading rejects unknown schema versions and
   digest-mismatched payloads.
 * :mod:`repro.serve.engine` — :class:`~repro.serve.engine.ScoringEngine`
-  (validate loudly, score any B1..B5 subset in one vectorized pass) and
-  :class:`~repro.serve.engine.BatchingEngine` (micro-batching with a
-  bounded arrival-ordered queue and explicit 429-style backpressure).
+  (loud request validation; one vectorized scoring pass over any B1..B5
+  subset) and :class:`~repro.serve.engine.BatchingEngine` (validates each
+  request once, then micro-batches it through a bounded arrival-ordered
+  queue with explicit 429-style backpressure).
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — a zero-dependency
   threaded HTTP API (``POST /v1/score`` in a binary score frame or JSON,
   ``GET /healthz`` / ``/readyz`` / ``/metricz``) plus the typed Python

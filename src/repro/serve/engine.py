@@ -2,31 +2,36 @@
 
 Two layers, both thread-safe:
 
-* :class:`ScoringEngine` — the synchronous core.  Every request is
-  validated loudly (2-D shape, float-coercible dtype, finiteness, feature
-  width, batch-size cap) before a single boundary sees it; a structured
-  :class:`RequestValidationError` names exactly what was wrong, and nothing
-  degenerate can silently mis-classify.  Valid batches are scored against
-  any subset of B1..B5 in one vectorized pass
-  (:meth:`~repro.core.pipeline.GoldenChipFreeDetector.decision_scores_batch`:
-  the batch is validated once and every boundary reuses its precomputed
-  support-vector norms).
+* :class:`ScoringEngine` — the synchronous core.
+  :meth:`~ScoringEngine.validate_request` checks one request loudly (2-D
+  shape, float-coercible dtype, finiteness, feature width, per-request
+  device cap, boundary names); a structured :class:`RequestValidationError` names exactly what
+  was wrong, and nothing degenerate can silently mis-classify.
+  :meth:`~ScoringEngine.score` is the scoring pass alone: it scores a
+  batch against any subset of B1..B5 in one vectorized call
+  (:meth:`~repro.core.pipeline.GoldenChipFreeDetector.decision_scores_batch`,
+  whose own shape, finiteness and width checks still guard in-process
+  callers) and derives the verdicts once.
 
-* :class:`BatchingEngine` — the asynchronous front.  Requests queue into a
-  bounded, arrival-ordered (FIFO — no request can starve) queue.  The
-  worker thread is work-conserving: whenever it is free it takes whatever
-  is queued, up to ``max_batch`` devices, stacks it into one array and
-  scores it in a single engine pass.  It never waits for stragglers; the
-  requests that arrive while one batch is scoring form the next, so
-  per-device overhead still amortizes across concurrent clients.  When the
-  queue is full, ``submit`` fails immediately with :class:`QueueFullError`
-  — explicit 429-style backpressure instead of unbounded buffering.
+* :class:`BatchingEngine` — the asynchronous front.  ``submit`` validates
+  each request once, then queues it into a bounded, arrival-ordered (FIFO
+  — no request can starve) queue.  The worker thread is work-conserving:
+  whenever it is free it takes whatever is queued, up to ``max_batch``
+  devices, stacks it into one array, scores it in a single engine pass and
+  cuts each request's rows out of the result.  It never waits for
+  stragglers; the requests that arrive while one batch is scoring form the
+  next, so per-device overhead still amortizes across concurrent clients.
+  When the queue is full, ``submit`` fails immediately with
+  :class:`QueueFullError` — explicit 429-style backpressure instead of
+  unbounded buffering.
 
-The engine owns a private :class:`repro.obs.metrics.MetricsRegistry`
-(``serve.requests``, ``serve.devices_scored``, the ``serve.batch_size`` and
-``serve.latency_ms`` histograms, the ``serve.queue_depth`` gauge and
-per-boundary verdict counters); the server's ``GET /metricz`` endpoint
-snapshots it without touching the process-global observability session.
+The engine owns a private :class:`repro.obs.metrics.MetricsRegistry`; the
+server's ``GET /metricz`` endpoint snapshots it without touching the
+process-global observability session.  ``serve.requests`` counts requests
+(one per queued ``submit``) and ``serve.rejected`` the requests a full
+queue turned away.  ``serve.devices_scored``, the ``serve.batch_size`` and
+``serve.latency_ms`` histograms and the per-boundary verdict counters are
+recorded once per scoring pass, i.e. per batch.
 
 :func:`encode_frame` / :func:`decode_frame` are the binary score frame of
 ``POST /v1/score``, shared by server and client: a ``<u8`` ``ndim``, then
@@ -47,11 +52,16 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.boundaries import trojan_free
 from repro.obs.metrics import MetricsRegistry
 
 #: Hard cap on devices per request; a screening service should reject a
 #: runaway payload rather than attempt a multi-gigabyte kernel block.
 DEFAULT_MAX_REQUEST_DEVICES = 10_000
+#: Most devices the batcher stacks into one scoring pass.
+DEFAULT_MAX_BATCH = 256
+#: Most requests the batcher queues before it answers ``QueueFullError``.
+DEFAULT_MAX_QUEUE = 1024
 #: Content type of a binary score frame (:func:`encode_frame`).
 FRAME_CONTENT_TYPE = "application/octet-stream"
 #: Most dimensions a frame header may declare.  Scoring takes one or two;
@@ -91,15 +101,21 @@ class ScoreResult:
 
     @classmethod
     def from_scores(cls, scores: Dict[str, np.ndarray]) -> "ScoreResult":
-        """The result of non-empty per-boundary ``scores``.
-
-        This is the one verdict rule: a device is Trojan-free on a boundary
-        when its decision score is ``>= 0``.
-        """
+        """The result of non-empty per-boundary ``scores``; the verdicts
+        come from :func:`repro.core.boundaries.trojan_free`."""
         return cls(
             scores=scores,
-            verdicts={name: values >= 0.0 for name, values in scores.items()},
+            verdicts={name: trojan_free(values) for name, values in scores.items()},
             n_devices=len(next(iter(scores.values()))),
+        )
+
+    def rows(self, start: int, stop: int) -> "ScoreResult":
+        """Devices ``start:stop`` of this result (views, nothing recomputed)."""
+        cut = slice(start, stop)
+        return ScoreResult(
+            scores={name: values[cut] for name, values in self.scores.items()},
+            verdicts={name: flags[cut] for name, flags in self.verdicts.items()},
+            n_devices=stop - start,
         )
 
     def to_json(self) -> dict:
@@ -177,8 +193,9 @@ class ScoringEngine:
         Boundary subset scored when a request names none (default: every
         trained boundary, pipeline order).
     max_request_devices:
-        Reject requests with more devices than this (structured error, not
-        an out-of-memory crash).
+        :meth:`validate_request` rejects requests with more devices than
+        this (structured error, not an out-of-memory crash).  A batch of
+        several requests may hold more; :meth:`score` applies no cap.
     registry:
         Metrics registry to record into (a private one by default).
     """
@@ -296,24 +313,30 @@ class ScoringEngine:
     def score(
         self, fingerprints, boundaries: Optional[Iterable[str]] = None
     ) -> ScoreResult:
-        """Validate and score one request (thread-safe)."""
+        """Score one ``(n, d)`` batch in one pass (thread-safe).
+
+        ``boundaries`` defaults to the engine's default set.  This is the
+        scoring pass only, recorded as one batch: it does not run
+        :meth:`validate_request`, which :meth:`BatchingEngine.submit` runs
+        once per request.  The detector's own checks still refuse a bad
+        shape, non-finite values or the wrong width (``ValueError``) and an
+        unknown boundary (``KeyError``).
+        """
         start = time.perf_counter()
-        array, names = self.validate_request(fingerprints, boundaries)
+        names = self.default_boundaries if boundaries is None else boundaries
         with self._lock:
-            scores = self.detector.decision_scores_batch(array, boundaries=names)
+            scores = self.detector.decision_scores_batch(fingerprints,
+                                                         boundaries=names)
         result = ScoreResult.from_scores(scores)
-        self._record(result.n_devices, result.verdicts,
-                     time.perf_counter() - start)
+        self._record(result, time.perf_counter() - start)
         return result
 
-    def _record(self, n_devices: int, verdicts: Dict[str, np.ndarray],
-                seconds: float) -> None:
+    def _record(self, result: ScoreResult, seconds: float) -> None:
         registry = self.registry
-        registry.counter("serve.requests").inc()
-        registry.counter("serve.devices_scored").inc(n_devices)
-        registry.histogram("serve.batch_size").observe(n_devices)
+        registry.counter("serve.devices_scored").inc(result.n_devices)
+        registry.histogram("serve.batch_size").observe(result.n_devices)
         registry.histogram("serve.latency_ms").observe(seconds * 1e3)
-        for name, flags in verdicts.items():
+        for name, flags in result.verdicts.items():
             passed = int(np.sum(flags))
             registry.counter(f"serve.verdicts.{name}.trojan_free").inc(passed)
             registry.counter(f"serve.verdicts.{name}.flagged").inc(
@@ -341,11 +364,12 @@ class _PendingRequest:
 class BatchingEngine:
     """Micro-batching front over a :class:`ScoringEngine`.
 
-    ``submit`` validates immediately (a malformed request must never poison
-    a batch), enqueues, and blocks until the worker thread has scored the
-    request as part of a micro-batch.  A batch is whatever queued while
-    the previous one was scoring; requests in it sharing a boundary subset
-    are stacked into one array and scored in a single vectorized pass.
+    ``submit`` validates the request once, before it is queued (a malformed
+    request must never poison a batch), counts it in ``serve.requests`` and
+    blocks until the worker thread has scored it as part of a micro-batch.
+    A batch is whatever queued while the previous one was scoring; requests
+    in it sharing a boundary subset are stacked into one array, scored in a
+    single vectorized pass and handed their own rows of the result.
 
     Parameters
     ----------
@@ -361,8 +385,8 @@ class BatchingEngine:
     def __init__(
         self,
         engine: ScoringEngine,
-        max_batch: int = 256,
-        max_queue: int = 1024,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        max_queue: int = DEFAULT_MAX_QUEUE,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
@@ -398,7 +422,7 @@ class BatchingEngine:
                 self.engine.registry.counter("serve.rejected").inc()
                 raise QueueFullError(len(self._queue))
             self._queue.append(request)
-            self.engine.registry.gauge("serve.queue_depth").set(len(self._queue))
+            self.engine.registry.counter("serve.requests").inc()
             self._wakeup.notify()
         if not request.event.wait(timeout):
             raise TimeoutError("scoring request timed out")
@@ -447,7 +471,6 @@ class BatchingEngine:
                     break
                 batch.append(self._queue.popleft())
                 devices += size
-            self.engine.registry.gauge("serve.queue_depth").set(len(self._queue))
         return batch
 
     def _run(self) -> None:
@@ -470,14 +493,11 @@ class BatchingEngine:
                     if len(members) == 1
                     else np.concatenate([m.fingerprints for m in members], axis=0)
                 )
-                result = self.engine.score(stacked, boundaries=names)
+                result = self.engine.score(stacked, names)
                 offset = 0
                 for member in members:
                     n = member.fingerprints.shape[0]
-                    member.result = ScoreResult.from_scores(
-                        {k: v[offset:offset + n]
-                         for k, v in result.scores.items()}
-                    )
+                    member.result = result.rows(offset, offset + n)
                     offset += n
             except BaseException as error:  # surface to every waiter
                 for member in members:

@@ -13,7 +13,8 @@ Endpoints
       ``/v1/score?boundaries=B1,B5`` (default: the server's default set).
       The answer is a frame holding the ``(k, n)`` float64 scores, one row
       per boundary in the order the ``X-Boundaries`` response header gives
-      (``B1,B5``).  A device is Trojan-free where its score is ``>= 0``.
+      (``B1,B5``).  A device is Trojan-free where its score is
+      non-negative (:func:`repro.core.boundaries.trojan_free`).
       This is the format :class:`~repro.serve.client.ScoringClient` sends:
       it costs no text conversion on either side.
     * anything else — JSON: ``{"fingerprints": [[...], ...], "boundaries":
@@ -21,7 +22,8 @@ Endpoints
       batch; ``boundaries`` is optional).  Response: ``{"n_devices": n,
       "boundaries": {"B5": {"trojan_free": [...], "scores": [...]}}}``.
 
-    Both formats go through the same validation.  Errors are JSON in
+    Both formats go through the same validation, once per request, in
+    :meth:`~repro.serve.engine.BatchingEngine.submit`.  Errors are JSON in
     either format: validation failures return **400** with a structured
     body ``{"error": {"code": ..., "message": ...}}`` (a malformed frame
     header is ``bad_frame``, unparseable JSON ``bad_json``), an oversized
@@ -33,12 +35,16 @@ Endpoints
     Readiness: ``200`` once the bundle is loaded and the engine can score,
     ``503`` otherwise.
 ``GET /metricz``
-    JSON snapshot of the engine's metrics registry (``serve.requests``,
-    ``serve.devices_scored``, ``serve.connections`` accepted, score
-    requests per wire format as ``serve.requests.frame`` /
-    ``serve.requests.json``, ``serve.batch_size`` / ``serve.latency_ms``
-    histograms, ``serve.queue_depth`` gauge, per-boundary verdict
-    counters) plus bundle identity (digest, schema version, boundaries).
+    JSON snapshot of the engine's metrics registry plus bundle identity
+    (digest, schema version, boundaries).  Per request:
+    ``serve.requests`` (validated and queued), ``serve.rejected`` (queue
+    full) and, per wire format, ``serve.requests.frame`` /
+    ``serve.requests.json`` (every score request whose body was read,
+    valid or not).  Per scoring pass, i.e. per batch:
+    ``serve.devices_scored``, the ``serve.batch_size`` /
+    ``serve.latency_ms`` histograms and the per-boundary verdict counters.
+    Also ``serve.connections`` accepted and the live ``serve.queue_depth``
+    gauge, read on every ``/metricz`` request.
 
 Built on :class:`http.server.ThreadingHTTPServer` — one thread per
 connection feeding the shared :class:`~repro.serve.engine.BatchingEngine`,
@@ -73,6 +79,9 @@ from repro.serve.engine import (
     BatchingEngine,
     QueueFullError,
     RequestValidationError,
+    DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_QUEUE,
+    DEFAULT_MAX_REQUEST_DEVICES,
     ScoreResult,
     ScoringEngine,
     decode_frame,
@@ -183,7 +192,7 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", ""))
         except ValueError:
             return None
-        return length if length >= 0 else None
+        return None if length < 0 else length
 
     def _reject_unread(self, length: Optional[int], status: int, code: str,
                        message: str) -> None:
@@ -308,19 +317,16 @@ class DetectorServer(ThreadingHTTPServer):
         host: str = "127.0.0.1",
         port: int = 0,
         default_boundaries: Optional[Iterable[str]] = None,
-        max_batch: int = 256,
-        max_queue: int = 1024,
-        max_request_devices: Optional[int] = None,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        max_queue: int = DEFAULT_MAX_QUEUE,
+        max_request_devices: int = DEFAULT_MAX_REQUEST_DEVICES,
     ):
         if not isinstance(bundle, LoadedBundle):
             bundle = load_bundle(bundle)
         self.bundle = bundle
-        engine_kwargs = {}
-        if max_request_devices is not None:
-            engine_kwargs["max_request_devices"] = max_request_devices
         self.engine = ScoringEngine(
             bundle.detector, default_boundaries=default_boundaries,
-            **engine_kwargs,
+            max_request_devices=max_request_devices,
         )
         self.batcher = BatchingEngine(
             self.engine, max_batch=max_batch, max_queue=max_queue,
@@ -350,10 +356,7 @@ class DetectorServer(ThreadingHTTPServer):
     def metrics(self) -> dict:
         """The ``/metricz`` payload."""
         snapshot = self.engine.metrics_snapshot()
-        snapshot["gauges"].setdefault("serve.queue_depth", None)
-        snapshot["gauges"]["serve.queue_depth"] = float(
-            self.batcher.queue_depth
-        )
+        snapshot["gauges"]["serve.queue_depth"] = float(self.batcher.queue_depth)
         snapshot["bundle"] = self.bundle_summary()
         return snapshot
 

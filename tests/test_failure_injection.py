@@ -122,6 +122,12 @@ class TestScoringEntryValidation:
             fitted_detector.classify(experiment_data.dutt_fingerprints,
                                      boundary="B7")
 
+    def test_empty_boundary_subset_rejected(self, fitted_detector,
+                                            experiment_data):
+        with pytest.raises(ValueError, match="empty"):
+            fitted_detector.decision_scores_batch(
+                experiment_data.dutt_fingerprints, boundaries=[])
+
     def test_batch_entries_share_the_contract(self, fitted_detector,
                                               experiment_data):
         bad = experiment_data.dutt_fingerprints.copy()

@@ -1,11 +1,10 @@
-"""Run manifests: round-trip, schema validation, sink format."""
+"""Run manifests: round-trip and schema validation."""
 
 import json
 
 import pytest
 
 from repro.obs import manifest as m
-from repro.obs.sink import JsonlSink, read_events, write_span_events
 from repro.obs.trace import Span
 
 
@@ -107,31 +106,3 @@ class TestEnvironment:
     def test_new_run_ids_are_strings(self):
         run_id = m.new_run_id()
         assert isinstance(run_id, str) and len(run_id) > 10
-
-
-class TestSink:
-    def test_span_events_round_trip(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        spans = _sample_manifest().span_objects()
-        with JsonlSink(path) as sink:
-            write_span_events(sink, spans, run_id="r1")
-        events = read_events(path, event="span")
-        assert len(events) == 2
-        assert events[0]["name"] == "table1"
-        assert all(e["run_id"] == "r1" for e in events)
-
-    def test_lazy_open_creates_nothing_when_silent(self, tmp_path):
-        path = tmp_path / "sub" / "events.jsonl"
-        with JsonlSink(str(path)):
-            pass
-        assert not path.exists()
-
-    def test_mixed_event_stream_filters(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        with JsonlSink(path) as sink:
-            sink.emit({"event": "bench", "component": "kde_density",
-                       "seconds": 0.1})
-            write_span_events(sink, _sample_manifest().span_objects())
-        assert len(read_events(path)) == 3
-        assert len(read_events(path, event="bench")) == 1
-        assert len(read_events(path, event="span")) == 2

@@ -2,13 +2,14 @@
 
 Covers the synchronous :class:`ScoringEngine` (every structured rejection
 code, parity with the detector's own ``classify``) and the asynchronous
-:class:`BatchingEngine` (per-request result slicing under concurrency,
-FIFO backpressure, clean shutdown).
+:class:`BatchingEngine` (one validation per request, per-request result
+slicing under concurrency, FIFO backpressure, clean shutdown).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -155,7 +156,6 @@ class TestScoring:
         n = 7
         engine.score(experiment_data.dutt_fingerprints[:n])
         snapshot = engine.metrics_snapshot()
-        assert snapshot["counters"]["serve.requests"] == 1
         assert snapshot["counters"]["serve.devices_scored"] == n
         assert snapshot["histograms"]["serve.batch_size"]["count"] == 1
         assert snapshot["histograms"]["serve.latency_ms"]["count"] == 1
@@ -168,8 +168,8 @@ class TestScoring:
 class _HeldEngine(ScoringEngine):
     """Records every scoring pass and holds the first until released."""
 
-    def __init__(self, detector):
-        super().__init__(detector)
+    def __init__(self, detector, **kwargs):
+        super().__init__(detector, **kwargs)
         self.calls: list = []
         self.entered = threading.Event()
         self.release = threading.Event()
@@ -287,6 +287,86 @@ class TestBatching:
         )
         assert np.array_equal(results[0].scores["B5"], stacked.scores["B5"][:4])
         assert np.array_equal(results[3].scores["B5"], stacked.scores["B5"][4:])
+
+    def test_requests_validate_once(self, fitted_detector, experiment_data):
+        validations = []
+
+        class _CountingEngine(ScoringEngine):
+            def validate_request(self, fingerprints, boundaries=None):
+                validations.append(len(fingerprints))
+                return super().validate_request(fingerprints, boundaries)
+
+        with BatchingEngine(_CountingEngine(fitted_detector)) as batcher:
+            batcher.submit(experiment_data.dutt_fingerprints[:3])
+            assert validations == [3]
+            batcher.submit(experiment_data.dutt_fingerprints[:5], ["B5"])
+        assert validations == [3, 5]
+
+    def test_device_cap_is_per_request(self, fitted_detector,
+                                       experiment_data):
+        """Requests under the cap are scored even when their batch is not."""
+        engine = _HeldEngine(fitted_detector, max_request_devices=4)
+        blocks = [experiment_data.dutt_fingerprints[i:i + 3]
+                  for i in (0, 3, 6)]
+        with BatchingEngine(engine, max_batch=16) as batcher:
+            results = _queue_while_held(batcher, engine,
+                                        [(block, None) for block in blocks])
+        everything = tuple(BOUNDARY_NAMES)
+        assert engine.calls == [(1, everything), (9, everything)]
+        stacked = ScoringEngine(fitted_detector).score(np.concatenate(blocks))
+        for k, result in enumerate(results):
+            assert result.n_devices == 3
+            for name in BOUNDARY_NAMES:
+                assert np.array_equal(result.scores[name],
+                                      stacked.scores[name][3 * k:3 * k + 3])
+                assert np.array_equal(result.verdicts[name],
+                                      stacked.verdicts[name][3 * k:3 * k + 3])
+
+    def test_concurrent_requests_at_the_cap_all_succeed(self, fitted_detector,
+                                                        experiment_data):
+        """Threads racing requests of exactly the device cap: none is
+        refused, and no request or device goes uncounted."""
+        engine = ScoringEngine(fitted_detector, max_request_devices=8)
+        fingerprints = experiment_data.dutt_fingerprints[:8]
+        errors: list = []
+
+        def client():
+            try:
+                for _ in range(25):
+                    assert batcher.submit(fingerprints).n_devices == 8
+            except BaseException as error:  # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with BatchingEngine(engine) as batcher:
+                threads = [threading.Thread(target=client) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        snapshot = engine.metrics_snapshot()
+        assert snapshot["counters"]["serve.requests"] == 100
+        assert snapshot["counters"]["serve.devices_scored"] == 800
+        assert snapshot["histograms"]["serve.batch_size"]["total"] == 800
+
+    def test_requests_and_batches_are_counted_apart(self, fitted_detector,
+                                                    experiment_data):
+        engine = _HeldEngine(fitted_detector)
+        fingerprints = experiment_data.dutt_fingerprints[:2]
+        with BatchingEngine(engine) as batcher:
+            _queue_while_held(batcher, engine, [(fingerprints, None)] * 3)
+        snapshot = engine.metrics_snapshot()
+        assert snapshot["counters"]["serve.requests"] == 4
+        assert snapshot["counters"]["serve.devices_scored"] == 7
+        histogram = snapshot["histograms"]["serve.batch_size"]
+        assert (histogram["count"], histogram["total"]) == (2, 7)
+        assert snapshot["histograms"]["serve.latency_ms"]["count"] == 2
 
     def test_invalid_request_rejected_before_queueing(self, engine):
         with BatchingEngine(engine) as batcher:
