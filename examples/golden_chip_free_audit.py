@@ -19,9 +19,8 @@ import numpy as np
 from repro import (
     DetectorConfig,
     GoldenChipFreeDetector,
+    GoldenReferenceDetector,
     PlatformConfig,
-    TrustedRegion,
-    evaluate_detection,
     format_table1,
     generate_experiment_data,
 )
@@ -39,17 +38,8 @@ def main() -> None:
     print(format_table1(results, title="Golden chip-free screening (B1..B5)"))
 
     # ---------------- golden-chip reference ----------------
-    golden_fingerprints = data.trojan_free_fingerprints()
-    reference = TrustedRegion(
-        name="golden",
-        nu=config.svm_nu,
-        floor_ratio=config.floor_ratio,
-        noise_floor_rel=config.noise_floor_rel,
-        seed=0,
-    ).fit(golden_fingerprints)
-    ref_metrics = evaluate_detection(
-        reference.predict_trojan_free(data.dutt_fingerprints), data.infested
-    )
+    reference = GoldenReferenceDetector(config).fit(data.trojan_free_fingerprints())
+    ref_metrics = reference.evaluate(data.dutt_fingerprints, data.infested)
 
     b5 = results["B5"]
     print("\nHead-to-head on the same 120 DUTTs:")

@@ -16,6 +16,7 @@ RETIRED_KEYS = {
     "engine": None,
     "boundary_method": "ocsvm",
     "regression_mode": "latent_gain",
+    "n_monte_carlo": None,
 }
 
 
@@ -25,8 +26,6 @@ class DetectorConfig:
 
     Parameters
     ----------
-    n_monte_carlo:
-        Number of simulated golden devices (paper: 100).
     kde_samples:
         Size of the tail-enhanced synthetic populations S2 and S5
         (paper: 10^5).
@@ -71,7 +70,6 @@ class DetectorConfig:
         the master seed.
     """
 
-    n_monte_carlo: int = 100
     kde_samples: int = 100_000
     kde_alpha: float = 0.5
     kde_bandwidth: Optional[float] = None
@@ -92,8 +90,6 @@ class DetectorConfig:
     n_jobs: int = 1
 
     def __post_init__(self):
-        if self.n_monte_carlo < 10:
-            raise ValueError(f"n_monte_carlo must be >= 10, got {self.n_monte_carlo}")
         if self.kde_samples < 1:
             raise ValueError(f"kde_samples must be positive, got {self.kde_samples}")
         check_in_range(self.kde_alpha, 0.0, 1.0, "kde_alpha")

@@ -109,12 +109,13 @@ class GoldenChipFreeDetector:
     #: :func:`repro.cache.make_key`).  Bump a stage's entry whenever its
     #: algorithm changes what it produces for identical inputs, so entries
     #: written by older code become misses instead of being served.
-    #: kmm_shift 2: active-set KMM solver; boundary 2: on-demand-row
+    #: kmm_shift 2: active-set KMM solver; kmm_shift 3: its free block
+    #: solved by LU instead of Cholesky; boundary 2: on-demand-row
     #: second-order SMO.
     _STAGE_VERSIONS = {
         "regressions": 1,
         "kde_tail": 1,
-        "kmm_shift": 2,
+        "kmm_shift": 3,
         "boundary": 2,
     }
 

@@ -69,8 +69,6 @@ class PlatformConfig:
         Production kerf measurements are single-shot with limited timing
         resolution — considerably noisier than the averaged RF power
         measurements of the fingerprint bench.
-    extended_pcms:
-        Shorthand for ``pcm_suite_name="extended"`` (kept for convenience).
     pcm_suite_name:
         PCM suite: ``"paper"`` (one path delay), ``"extended"`` (+ ring
         oscillator) or ``"full"`` (+ digital fmax) — ablation A3.
@@ -89,7 +87,6 @@ class PlatformConfig:
     trojan2_depth: float = 0.17
     sim_noise: float = 0.0015
     pcm_noise: float = 0.05
-    extended_pcms: bool = False
     pcm_suite_name: str = "paper"
     n_lots: int = 1
     seed: int = 16
@@ -190,14 +187,11 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
               n_monte_carlo=config.n_monte_carlo, seed=config.seed):
         rng_campaign, rng_mc, rng_foundry, rng_bench = spawn_children(config.seed, 4)
 
-        suite_name = config.pcm_suite_name
-        if config.extended_pcms and suite_name == "paper":
-            suite_name = "extended"
         pcm_suite = {
             "paper": PCMSuite.paper_default,
             "extended": PCMSuite.extended,
             "full": PCMSuite.full,
-        }[suite_name]()
+        }[config.pcm_suite_name]()
         deck = build_deck(config)
 
         # The campaign is cheap and its stimuli feed both halves, so it is
@@ -224,7 +218,7 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
                 "nm": config.nm,
                 "n_monte_carlo": config.n_monte_carlo,
                 "sim_noise": config.sim_noise,
-                "pcm_suite": suite_name,
+                "pcm_suite": config.pcm_suite_name,
                 "seed": config.seed,
             },
             run_monte_carlo,
@@ -268,7 +262,7 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
                 "trojan1_depth": config.trojan1_depth,
                 "trojan2_depth": config.trojan2_depth,
                 "pcm_noise": config.pcm_noise,
-                "pcm_suite": suite_name,
+                "pcm_suite": config.pcm_suite_name,
                 "n_lots": config.n_lots,
                 "seed": config.seed,
             },

@@ -53,20 +53,16 @@ def new_run_id() -> str:
 def collect_environment() -> dict:
     """Interpreter, platform and package versions of the running process."""
     import platform
+    from importlib import metadata
 
     versions = {"python": platform.python_version()}
-    for package in ("numpy", "scipy"):
+    # Installed distributions, read without importing them: scipy is an
+    # optional extra, and importing it would load it into every traced run.
+    for package in ("numpy", "scipy", "repro"):
         try:
-            module = __import__(package)
-            versions[package] = str(getattr(module, "__version__", "unknown"))
-        except ImportError:  # pragma: no cover - both are hard dependencies
+            versions[package] = metadata.version(package)
+        except metadata.PackageNotFoundError:
             versions[package] = None
-    try:
-        from importlib import metadata
-
-        versions["repro"] = metadata.version("repro")
-    except Exception:
-        versions["repro"] = None
     return {
         "platform": platform.platform(),
         "argv0": sys.argv[0],

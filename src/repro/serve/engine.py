@@ -189,9 +189,6 @@ class ScoringEngine:
     ----------
     detector:
         A fitted (or bundle-restored) ``GoldenChipFreeDetector``.
-    default_boundaries:
-        Boundary subset scored when a request names none (default: every
-        trained boundary, pipeline order).
     max_request_devices:
         :meth:`validate_request` rejects requests with more devices than
         this (structured error, not an out-of-memory crash).  A batch of
@@ -203,7 +200,6 @@ class ScoringEngine:
     def __init__(
         self,
         detector,
-        default_boundaries: Optional[Iterable[str]] = None,
         max_request_devices: int = DEFAULT_MAX_REQUEST_DEVICES,
         registry: Optional[MetricsRegistry] = None,
     ):
@@ -218,15 +214,6 @@ class ScoringEngine:
             name for name in ("B1", "B2", "B3", "B4", "B5")
             if name in detector.boundaries
         )
-        self.default_boundaries = (
-            tuple(default_boundaries) if default_boundaries else self.available
-        )
-        for name in self.default_boundaries:
-            if name not in self.available:
-                raise ValueError(
-                    f"default boundary {name!r} not in bundle "
-                    f"(available: {list(self.available)})"
-                )
         self.max_request_devices = int(max_request_devices)
         self.registry = registry if registry is not None else MetricsRegistry()
         self._lock = threading.Lock()
@@ -253,7 +240,7 @@ class ScoringEngine:
         payloads are rejected before any O(n*d) work.
         """
         if boundaries is None:
-            names: Tuple[str, ...] = self.default_boundaries
+            names: Tuple[str, ...] = self.available
         else:
             if isinstance(boundaries, str):
                 boundaries = (boundaries,)
@@ -315,7 +302,7 @@ class ScoringEngine:
     ) -> ScoreResult:
         """Score one ``(n, d)`` batch in one pass (thread-safe).
 
-        ``boundaries`` defaults to the engine's default set.  This is the
+        ``boundaries`` defaults to every trained boundary.  This is the
         scoring pass only, recorded as one batch: it does not run
         :meth:`validate_request`, which :meth:`BatchingEngine.submit` runs
         once per request.  The detector's own checks still refuse a bad
@@ -323,7 +310,7 @@ class ScoringEngine:
         unknown boundary (``KeyError``).
         """
         start = time.perf_counter()
-        names = self.default_boundaries if boundaries is None else boundaries
+        names = self.available if boundaries is None else boundaries
         with self._lock:
             scores = self.detector.decision_scores_batch(fingerprints,
                                                          boundaries=names)

@@ -10,7 +10,7 @@ Endpoints
       (:func:`~repro.serve.engine.encode_frame`): ``ndim`` as ``<u8``,
       then ``ndim`` ``<u8`` dimensions, then the fingerprints as row-major
       little-endian float64.  Boundaries go in the query string,
-      ``/v1/score?boundaries=B1,B5`` (default: the server's default set).
+      ``/v1/score?boundaries=B1,B5`` (default: every trained boundary).
       The answer is a frame holding the ``(k, n)`` float64 scores, one row
       per boundary in the order the ``X-Boundaries`` response header gives
       (``B1,B5``).  A device is Trojan-free where its score is
@@ -71,7 +71,7 @@ import threading
 import time
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.serve.bundle import LoadedBundle, load_bundle
 from repro.serve.engine import (
@@ -316,7 +316,6 @@ class DetectorServer(ThreadingHTTPServer):
         bundle,
         host: str = "127.0.0.1",
         port: int = 0,
-        default_boundaries: Optional[Iterable[str]] = None,
         max_batch: int = DEFAULT_MAX_BATCH,
         max_queue: int = DEFAULT_MAX_QUEUE,
         max_request_devices: int = DEFAULT_MAX_REQUEST_DEVICES,
@@ -325,8 +324,7 @@ class DetectorServer(ThreadingHTTPServer):
             bundle = load_bundle(bundle)
         self.bundle = bundle
         self.engine = ScoringEngine(
-            bundle.detector, default_boundaries=default_boundaries,
-            max_request_devices=max_request_devices,
+            bundle.detector, max_request_devices=max_request_devices,
         )
         self.batcher = BatchingEngine(
             self.engine, max_batch=max_batch, max_queue=max_queue,

@@ -1,6 +1,6 @@
 """Statistical substrate: kernels, KMM, KDE, PCA and preprocessing.
 
-Everything here is implemented from first principles on numpy/scipy — the
+Everything here is implemented from first principles on numpy alone — the
 environment has no scikit-learn — and each algorithm corresponds to a method
 named in the paper: kernel mean matching (Section 2.4), adaptive
 Epanechnikov KDE tail modeling (Section 2.5), PCA (Section 3.2) and the

@@ -49,28 +49,33 @@ def _active_set(K, c, B, beta, free, total, max_iterations, tol):
     at a bound; both are updated in place.  With ``total`` set, ``sum(beta)``
     is also held at ``total`` (``beta`` must already satisfy it) through the
     scalar multiplier ``nu``.  Each iteration minimizes over the free
-    variables by Cholesky and walks towards that minimum.  A bound that
-    blocks the walk joins the held set.  A full step reaches the free-subspace
-    minimum, and the bound with the most negative multiplier is then freed;
-    when none is below ``-tol`` the point is optimal.  Deciding optimality by
-    the full step, not by a numerically zero step, keeps the method from
-    cycling on the nearly singular Gram matrices KMM produces.
+    variables with one LU solve of the free block (the target and, with
+    ``total`` set, the all-ones direction as two right-hand sides) and walks
+    towards that minimum.  A bound that blocks the walk joins the held set.
+    A full step reaches the free-subspace minimum, and the bound with the
+    most negative multiplier is then freed; when none is below ``-tol`` the
+    point is optimal.  Deciding optimality by the full step, not by a
+    numerically zero step, keeps the method from cycling on the nearly
+    singular Gram matrices KMM produces.  LU, unlike Cholesky, does not
+    test positive definiteness; ``K`` is a Gram matrix plus a ridge, and
+    :class:`KernelMeanMatcher` judges every solution by its KKT residual.
 
     Returns ``(nu, iterations, optimal)``.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     nu = 0.0
     for iteration in range(1, max_iterations + 1):
         idx = np.flatnonzero(free)
         if idx.size:
             held = np.where(free, 0.0, beta)
-            factor = cho_factor(K[np.ix_(idx, idx)])
-            target = cho_solve(factor, c[idx] - K[idx] @ held)
-            if total is not None:
-                direction = cho_solve(factor, np.ones(idx.size))
+            rhs = c[idx] - K[idx] @ held
+            if total is None:
+                target = np.linalg.solve(K[np.ix_(idx, idx)], rhs)
+            else:
+                target, direction = np.linalg.solve(
+                    K[np.ix_(idx, idx)], np.column_stack([rhs, np.ones(idx.size)])
+                ).T
                 nu = (total - held.sum() - target.sum()) / direction.sum()
-                target += nu * direction
+                target = target + nu * direction
             step = target - beta[idx]
             with np.errstate(divide="ignore", invalid="ignore"):
                 room = np.where(step < 0.0, -beta[idx] / step,

@@ -28,7 +28,13 @@ computes — and the oracles here *are* that formulation:
   underflow cut;
 * :func:`epanechnikov_kernel_value` evaluates the paper's closed-form
   Epanechnikov kernel, Eq. (6), that the KDE's density and sampler
-  implement.
+  implement;
+* :func:`cholesky_active_set` is the KMM active-set iteration with the
+  free block factored by LAPACK Cholesky (``scipy.linalg.cho_factor``) and
+  the target and slab direction solved on that factor.  Production solves
+  both with one ``np.linalg.solve``; the two are exact solvers of the same
+  nearly singular systems, so they agree on the iteration path and the
+  bound pattern and on the weights to round-off, not bit for bit.
 
 The loop oracles mirror the production signatures, so a test can
 monkeypatch them over ``FingerprintCampaign.measure_population`` and
@@ -275,3 +281,45 @@ def epanechnikov_kernel_value(t):
     sq = np.sum(t**2, axis=1)
     value = 0.5 * (d + 2.0) / unit_ball_volume(d) * (1.0 - sq)
     return np.where(sq < 1.0, value, 0.0)
+
+
+def cholesky_active_set(K, c, B, beta, free, total, max_iterations, tol):
+    """``repro.stats.kmm._active_set`` on a Cholesky factor of the free block.
+
+    Same contract and return value ``(nu, iterations, optimal)``; see the
+    production function for the method.
+    """
+    from scipy.linalg import cho_factor, cho_solve
+
+    nu = 0.0
+    for iteration in range(1, max_iterations + 1):
+        idx = np.flatnonzero(free)
+        if idx.size:
+            held = np.where(free, 0.0, beta)
+            factor = cho_factor(K[np.ix_(idx, idx)])
+            target = cho_solve(factor, c[idx] - K[idx] @ held)
+            if total is not None:
+                direction = cho_solve(factor, np.ones(idx.size))
+                nu = (total - held.sum() - target.sum()) / direction.sum()
+                target += nu * direction
+            step = target - beta[idx]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                room = np.where(step < 0.0, -beta[idx] / step,
+                                np.where(step > 0.0, (B - beta[idx]) / step, np.inf))
+            block = int(np.argmin(room))
+            if room[block] < 1.0:
+                beta[idx] += room[block] * step
+                beta[idx[block]] = 0.0 if step[block] < 0.0 else B
+                free[idx[block]] = False
+                continue
+            beta[idx] = target
+        # Free-subspace minimum: a held bound with a negative multiplier
+        # (gradient pointing into the box) is released.
+        gradient = K @ beta - c - nu
+        multiplier = np.where(beta == B, -gradient, gradient)
+        multiplier[free] = np.inf
+        worst = int(np.argmin(multiplier))
+        if multiplier[worst] >= -tol:
+            return nu, iteration, True
+        free[worst] = True
+    return nu, max_iterations, False

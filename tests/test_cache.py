@@ -390,7 +390,7 @@ class TestStageVersions:
         platform = PlatformConfig(n_chips=6, n_monte_carlo=20, seed=7)
         detector_config = DetectorConfig(kde_samples=1000, seed=11)
         current = GoldenChipFreeDetector._STAGE_VERSIONS
-        assert current["kmm_shift"] == 2 and current["boundary"] == 2
+        assert current["kmm_shift"] == 3 and current["boundary"] == 2
         root = str(tmp_path / "c")
 
         monkeypatch.setattr(GoldenChipFreeDetector, "_STAGE_VERSIONS",

@@ -14,7 +14,6 @@ def test_defaults_construct():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(n_monte_carlo=5),
         dict(kde_samples=0),
         dict(kde_alpha=1.5),
         dict(kde_bandwidth=-1.0),

@@ -84,7 +84,7 @@ class TestGeneratedData:
         assert gap(drifted) > gap(still)
 
     def test_extended_pcms(self):
-        data = generate_experiment_data(small_platform(extended_pcms=True))
+        data = generate_experiment_data(small_platform(pcm_suite_name="extended"))
         assert data.sim_pcms.shape[1] == 2
         assert data.dutt_pcms.shape[1] == 2
 

@@ -1,11 +1,14 @@
-"""Import discipline: scipy is imported only inside the code that computes with it.
+"""Import discipline: numpy is the only runtime dependency.
 
 Every tester station, CLI command and server worker starts a fresh
 process, and importing ``scipy.stats``/``scipy.linalg`` costs about a
-second there.  Start-up and serving compute with numpy alone, so importing
-the package, the CLI or the server, and loading and scoring a bundle, must
-leave every ``scipy`` module out of ``sys.modules``.  A further check proves
-the function-level imports do run where scipy is needed.
+second there.  Start-up, calibration and serving compute with numpy alone,
+so importing the package, the CLI or the server, fitting KMM, running
+``table1`` (traced or not) and loading and scoring a bundle must leave
+every ``scipy`` module out of ``sys.modules``, and ``table1`` must run
+with scipy imports refused.  scipy is the optional ``ablations`` extra:
+a further check proves the ablation baselines import it inside the
+functions that compute with it.
 
 The same fresh-process check guards the layering of the ablation
 baselines: serving and the detector's own fits never load
@@ -32,9 +35,22 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 ABLATION_ONLY = ("repro.experiments.ablations", "repro.experiments.baselines")
 
 
-def run_fresh(script: str, *args: str, packages=("scipy",)) -> set:
-    """Run ``script`` in a fresh ``python -c``; return the modules it left
-    loaded from ``packages`` (each package itself or any of its submodules)."""
+#: Prepended to a fresh-process script: a ``sys.meta_path`` finder that
+#: refuses every ``scipy`` import, as if the extra were not installed.
+BLOCK_SCIPY = (
+    "import importlib.abc\n"
+    "class NoScipy(importlib.abc.MetaPathFinder):\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name == 'scipy' or name.startswith('scipy.'):\n"
+    "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+    "sys.meta_path.insert(0, NoScipy())\n"
+)
+
+
+def run_fresh_output(script: str, *args: str, packages=("scipy",)):
+    """Run ``script`` in a fresh ``python -c``; return its stdout lines
+    and the modules it left loaded from ``packages`` (each package itself
+    or any of its submodules)."""
     loaded = (
         "print(','.join(m for m in sys.modules if any("
         f"m == p or m.startswith(p + '.') for p in {tuple(packages)!r})))\n"
@@ -45,7 +61,13 @@ def run_fresh(script: str, *args: str, packages=("scipy",)) -> set:
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    return set(filter(None, result.stdout.splitlines()[-1].split(",")))
+    lines = result.stdout.splitlines()
+    return lines[:-1], set(filter(None, lines[-1].split(",")))
+
+
+def run_fresh(script: str, *args: str, packages=("scipy",)) -> set:
+    """The modules from ``packages`` that ``script`` left loaded."""
+    return run_fresh_output(script, *args, packages=packages)[1]
 
 
 @pytest.mark.parametrize("module", ["repro", "repro.cli", "repro.serve"])
@@ -69,20 +91,47 @@ def test_bundle_load_score_and_serve_load_no_scipy(fitted_detector, experiment_d
     assert run_fresh(script, str(path), str(probe)) == set()
 
 
-def test_fits_load_scipy_lazily():
+def test_production_runs_load_no_scipy(tmp_path):
+    kmm_fit = (
+        "import numpy as np\n"
+        "from repro.stats.kmm import KernelMeanMatcher\n"
+        "data = np.random.default_rng(0).standard_normal((120, 3))\n"
+        "assert KernelMeanMatcher().fit(data[:60], data[60:] + 0.3).converged_\n"
+    )
+    assert run_fresh(kmm_fit) == set()
+    traced_table1 = (
+        "from repro.cli import main\n"
+        "assert main(['table1', '--trace', '--run-dir', sys.argv[1]]) == 0\n"
+    )
+    assert run_fresh(traced_table1, str(tmp_path / "run")) == set()
+    assert (tmp_path / "run" / "manifest.json").is_file()
+
+
+def test_table1_runs_with_scipy_imports_refused():
+    script = BLOCK_SCIPY + (
+        "from repro.cli import main\n"
+        "assert main(['table1']) == 0\n"
+    )
+    lines, loaded = run_fresh_output(script)
+    assert loaded == set()
+    rows = [[cell.strip() for cell in line.split("|")] for line in lines
+            if line[:2] in ("S1", "S2", "S3", "S4", "S5")]
+    assert rows == [["S1", "0/80", "40/40"], ["S2", "0/80", "37/40"],
+                    ["S3", "0/80", "40/40"], ["S4", "0/80", "40/40"],
+                    ["S5", "0/80", "4/40"]]
+
+
+def test_ablation_baselines_load_scipy_lazily():
     script = (
         "import numpy as np\n"
         "from repro.experiments.baselines import EllipticEnvelope, GpdTailEnhancer\n"
-        "from repro.stats.kmm import KernelMeanMatcher\n"
         "assert not any(m.startswith('scipy') for m in sys.modules)\n"
-        "rng = np.random.default_rng(0)\n"
-        "data = rng.standard_normal((200, 3))\n"
+        "data = np.random.default_rng(0).standard_normal((200, 3))\n"
         "EllipticEnvelope().fit(data)\n"
-        "KernelMeanMatcher().fit(data[:60], data[60:120] + 0.3)\n"
         "GpdTailEnhancer().fit(data)\n"
     )
     loaded = run_fresh(script)
-    assert {"scipy.special", "scipy.linalg", "scipy.stats"} <= loaded
+    assert {"scipy.special", "scipy.stats"} <= loaded
 
 
 def test_serving_and_fits_never_load_the_ablations(fitted_detector,

@@ -217,6 +217,20 @@ class TestRoundTrip:
         for name, scores in restored.decision_scores_batch(fingerprints).items():
             assert np.array_equal(scores, expected[name]), name
 
+    def test_bundle_with_retired_n_monte_carlo_loads(self, fitted_detector,
+                                                     experiment_data, tmp_path,
+                                                     monkeypatch):
+        """Bundles written while the detector config carried the unread
+        ``n_monte_carlo`` field load with any value and score bit for bit."""
+        path = _export_edited(fitted_detector, tmp_path / "old.npz",
+                              monkeypatch, config={"n_monte_carlo": 37})
+        restored = load_bundle(path).detector
+        assert restored.config == fitted_detector.config
+        fingerprints = experiment_data.dutt_fingerprints
+        expected = fitted_detector.decision_scores_batch(fingerprints)
+        for name, scores in restored.decision_scores_batch(fingerprints).items():
+            assert np.array_equal(scores, expected[name]), name
+
     def test_unknown_config_key_still_rejected(self, fitted_detector):
         state = fitted_detector.to_state()
         state["config"]["flux_capacitor"] = True

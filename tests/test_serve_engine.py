@@ -96,10 +96,6 @@ class TestValidation:
         assert array.shape == (1, engine.n_features)
         assert names == tuple(BOUNDARY_NAMES)
 
-    def test_unknown_default_boundary_rejected(self, fitted_detector):
-        with pytest.raises(ValueError, match="default boundary"):
-            ScoringEngine(fitted_detector, default_boundaries=["B7"])
-
     def test_unfitted_detector_rejected(self):
         class _Bare:
             boundaries = {}

@@ -294,6 +294,7 @@ class TestErrorContract:
         with pytest.raises(urllib.error.HTTPError) as err:
             _post_raw(server.url, body)
         assert err.value.code == 400
+        assert json.loads(err.value.read())["error"]["code"] == "bad_request"
 
     def test_empty_body_is_rejected(self, server):
         with pytest.raises(urllib.error.HTTPError) as err:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.experiments.platformcfg import PlatformConfig
+from repro.experiments.platformcfg import PlatformConfig, generate_experiment_data
 from repro.stats import kmm
 from repro.stats.kernels import rbf_kernel
 from repro.stats.kmm import (
@@ -19,6 +19,7 @@ from repro.stats.kmm import (
     kkt_residual,
     solve_kmm_qp,
 )
+from tests.oracles import cholesky_active_set
 
 
 def kmm_qp(matcher, problem):
@@ -221,6 +222,30 @@ class TestSolver:
         for _ in range(20):
             point = into_slab(rng.uniform(0.0, B, size=beta.size), B, lower, upper)
             assert objective(K, kappa, point) >= best - 1e-9 * abs(best)
+
+
+class TestCholeskyOracle:
+    """Production solves the free block by LU; the oracle by Cholesky.
+
+    Both are exact, so on the pipeline's lots they take the same
+    active-set path to the same bound pattern and differ in the weights
+    only by round-off in the nearly singular Gram blocks.
+    """
+
+    @pytest.mark.parametrize("platform_seed", [16, 33, 39])
+    def test_lu_solver_matches_cholesky_oracle(self, platform_seed, monkeypatch):
+        data = generate_experiment_data(PlatformConfig(seed=platform_seed))
+        problem = KmmProblem(data.sim_pcms, data.dutt_pcms)
+        production = KernelMeanMatcher(B=10.0).fit_problem(problem)
+        monkeypatch.setattr(kmm, "_active_set", cholesky_active_set)
+        oracle = KernelMeanMatcher(B=10.0).fit_problem(problem)
+        assert production.converged_ and oracle.converged_
+        assert production.qp_iterations_ == oracle.qp_iterations_
+        for bound in (0.0, 10.0):
+            np.testing.assert_array_equal(production.weights == bound,
+                                          oracle.weights == bound)
+        np.testing.assert_allclose(production.weights, oracle.weights, rtol=0,
+                                   atol=1e-6 * oracle.weights.max())
 
 
 class TestImportanceResample:
