@@ -21,15 +21,21 @@ exit is kept as ``kkt_residual_`` and a fit that stops above ``tol`` logs a
 warning.
 
 Inference scores a batch in row blocks of about ``_BLOCK_ENTRIES`` kernel
-entries (256 KiB, sized to L2), each with the training path's distance and
-exp arithmetic followed by one small ``block @ alpha`` product that runs on
-the calling thread.  Kernel entries with ``gamma * ||x - s||^2 >=
-_UNDERFLOW_CUT`` are set to exactly 0 instead of being passed to ``np.exp``:
-they are below 1e-304, so with ``sum(alpha) = 1`` a score moves by at most
-1e-304, while ``np.exp`` leaves its SIMD path near -708 and spends 15-170 ns
-per entry on results that round to 0 or are subnormal.  Devices from another
-lot lie far from the support vectors and hit that tail for many of their
-entries.
+entries (256 KiB, sized to L2) and gives the bits of the training path's
+distance and exp arithmetic in nine passes over each block: the GEMM against
+the support vectors times 2 (exact, so it equals ``2 * (x @ s.T)``), adding
+the squared norms, subtracting, scaling by ``-gamma``, marking the tail, one
+clip to ``[-_UNDERFLOW_CUT, 0]``, ``np.exp``, zeroing the tail and one small
+``block @ alpha`` product, all on the calling thread.  The clip replaces the
+distance floor at 0 (a rounding-negative distance gives
+``exp(0) = exp(-0) = 1`` either way) and the floor at the cut.  Kernel
+entries with ``gamma * ||x - s||^2 >= _UNDERFLOW_CUT`` are set to exactly 0
+instead of being passed to ``np.exp``: they are below 1e-304, so with
+``sum(alpha) = 1`` a score moves by at most 1e-304, while ``np.exp`` leaves
+its SIMD path near -708 and spends 15-170 ns per entry on results that round
+to 0 or are subnormal.
+Devices from another lot lie far from the support vectors and hit that tail
+for many of their entries.
 """
 
 from __future__ import annotations
@@ -90,6 +96,12 @@ def _rbf_against(points: np.ndarray, anchors: np.ndarray,
                              gamma)
 
 
+def _scoring_cache(support: np.ndarray) -> tuple:
+    """What scoring needs of the support vectors: their squared norms as a
+    ``(1, m)`` row and the support vectors times 2."""
+    return np.sum(support**2, axis=1)[None, :], 2.0 * support
+
+
 class OneClassSvm:
     """ν-one-class SVM with an RBF kernel.
 
@@ -143,7 +155,7 @@ class OneClassSvm:
         self.n_iterations_: int = 0
         self.kkt_residual_: Optional[float] = None
         self.converged_: bool = False
-        self._sv_sq_norms: Optional[np.ndarray] = None
+        self._scoring: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # fitting
@@ -292,7 +304,7 @@ class OneClassSvm:
         self.support_vectors_ = data[support]
         self.dual_coefs_ = alpha[support]
         self.effective_gamma_ = float(gamma)
-        self._sv_sq_norms = None
+        self._scoring = _scoring_cache(self.support_vectors_)
 
         # rho from margin support vectors (0 < alpha < C); fall back to the
         # mean over all support vectors if none sit strictly inside the box.
@@ -319,12 +331,11 @@ class OneClassSvm:
     def decision_function(self, points) -> np.ndarray:
         """Signed distance-like score; >= 0 means inside the trusted region.
 
-        The batch is scored in row blocks of about ``_BLOCK_ENTRIES`` kernel
-        entries against the support vectors, whose squared norms are
-        computed once per fitted model.  Each block repeats the training
-        path's distance and exp arithmetic, except that entries with
-        ``gamma * ||x - s||^2 >= _UNDERFLOW_CUT`` are exactly 0, which moves
-        a score by at most 1e-304.
+        Scored in row blocks of about ``_BLOCK_ENTRIES`` kernel entries with
+        the nine passes of the module docstring: the bits of the training
+        path's arithmetic, except that entries with ``gamma * ||x - s||^2 >=
+        _UNDERFLOW_CUT`` are exactly 0, which moves a score by at most
+        1e-304.
         """
         self._check_fitted()
         points = check_2d(points, "points")
@@ -334,19 +345,23 @@ class OneClassSvm:
                 f"points have {points.shape[1]} features, SVM was fitted on "
                 f"{support.shape[1]}"
             )
-        if self._sv_sq_norms is None:
-            self._sv_sq_norms = np.sum(support**2, axis=1)[None, :]
+        sv_sq_norms, sv_doubled = self._scoring
+        x_norms = np.sum(points**2, axis=1)[:, None]
         rows = max(1, _BLOCK_ENTRIES // support.shape[0])
         scores = np.empty(points.shape[0])
         for start in range(0, points.shape[0], rows):
-            block = _sq_dists_against(points[start:start + rows], support,
-                                      self._sv_sq_norms)
+            stop = start + rows
+            # The transposed view: a contiguous copy of it takes another
+            # BLAS path, which moves one-row scores in the last bit.
+            prod = points[start:stop] @ sv_doubled.T
+            block = x_norms[start:stop] + sv_sq_norms
+            np.subtract(block, prod, out=block)
             block *= -self.effective_gamma_
             cut = block <= -_UNDERFLOW_CUT
-            np.maximum(block, -_UNDERFLOW_CUT, out=block)
+            np.clip(block, -_UNDERFLOW_CUT, 0.0, out=block)
             np.exp(block, out=block)
-            block[cut] = 0.0
-            scores[start:start + rows] = block @ self.dual_coefs_
+            np.copyto(block, 0.0, where=cut)
+            scores[start:stop] = block @ self.dual_coefs_
         scores -= self.rho_
         return scores
 
@@ -401,4 +416,5 @@ class OneClassSvm:
         model.rho_ = float(state["rho"])
         model.effective_gamma_ = float(state["effective_gamma"])
         model.n_iterations_ = int(state["n_iterations"])
+        model._scoring = _scoring_cache(model.support_vectors_)
         return model

@@ -275,3 +275,17 @@ class TestBlockedScoringMatchesDenseOracle:
             n_support = display_detector.boundaries[name].svm.support_vectors_.shape[0]
             assert devices > _BLOCK_ENTRIES // n_support, name
         _assert_dense_scores(display_detector, lot.dutt_fingerprints)
+
+    def test_one_device_batches(self, display_lot):
+        data, display_detector = display_lot
+        # screen-line sends one device per request, and a (1, d) batch takes
+        # another BLAS path than the multi-row blocks above.  The screening
+        # lot's kernel sums vanish against rho (every score is -rho), so
+        # the display lot's devices, near the support vectors, are scored
+        # alone too.
+        lot = generate_experiment_data(PlatformConfig(seed=10_000, n_chips=342))
+        for devices in (lot.dutt_fingerprints[:16], data.dutt_fingerprints[:16]):
+            for row in devices:
+                device = row[None, :]
+                assert device.shape == (1, 6)
+                _assert_dense_scores(display_detector, device)
