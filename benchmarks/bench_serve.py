@@ -9,11 +9,17 @@ p50/p95/p99, and exits non-zero when throughput lands below
 ``--min-throughput`` — the serving analogue of the component-timing gate
 in ``bench_report.py``::
 
-    python benchmarks/bench_serve.py --min-throughput 5000
+    python benchmarks/bench_serve.py --min-throughput 45000
+
+It also reads the server's ``/metricz`` before and after the measurement
+window and reports how the server batched that window: requests per
+scoring pass (``serve.requests`` over the ``serve.batch_size`` count) and
+mean devices per pass.  Above one request per pass, concurrent requests
+were combined into shared batches.
 
 The default workload (8 clients x 64 devices/request, micro-batching on)
 is the acceptance configuration: a batched screening service on the small
-fixture must sustain at least 5000 devices/second.
+fixture must sustain at least 45000 devices/second.
 """
 
 from __future__ import annotations
@@ -107,6 +113,22 @@ def run_load(url: str, batch: np.ndarray, clients: int, duration: float,
     }
 
 
+def batching(before: dict, after: dict) -> dict:
+    """Requests and devices per scoring pass between two ``/metricz``
+    snapshots."""
+    passes = (after["histograms"]["serve.batch_size"]["count"]
+              - before["histograms"]["serve.batch_size"]["count"])
+    requests = (after["counters"]["serve.requests"]
+                - before["counters"]["serve.requests"])
+    devices = (after["histograms"]["serve.batch_size"]["total"]
+               - before["histograms"]["serve.batch_size"]["total"])
+    return {
+        "scoring_passes": passes,
+        "requests_per_pass": requests / passes,
+        "devices_per_pass": devices / passes,
+    }
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -141,11 +163,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                             max_batch=args.max_batch) as server:
             with ScoringClient(server.url) as probe:
                 probe.wait_ready()
-            if args.warmup > 0:
-                run_load(server.url, batch, args.clients, args.warmup,
-                         boundaries=args.boundary)
-            report = run_load(server.url, batch, args.clients, args.duration,
-                              boundaries=args.boundary)
+                if args.warmup > 0:
+                    run_load(server.url, batch, args.clients, args.warmup,
+                             boundaries=args.boundary)
+                before = probe.metrics()
+                report = run_load(server.url, batch, args.clients,
+                                  args.duration, boundaries=args.boundary)
+                report["batching"] = batching(before, probe.metrics())
 
     report["config"] = {
         "clients": args.clients,
@@ -159,6 +183,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"throughput: {report['throughput_dev_s']:,.0f} devices/s")
     print("latency:    p50 {p50:.2f} ms  p95 {p95:.2f} ms  p99 {p99:.2f} ms"
           .format(**report["latency_ms"]))
+    print("batching:   {requests_per_pass:.2f} requests and "
+          "{devices_per_pass:.1f} devices per scoring pass"
+          .format(**report["batching"]))
 
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -13,23 +13,28 @@ Two layers, both thread-safe:
   whose own shape, finiteness and width checks still guard in-process
   callers) and derives the verdicts once.
 
-* :class:`BatchingEngine` — the asynchronous front.  ``submit`` validates
-  each request once, then queues it into a bounded, arrival-ordered (FIFO
-  — no request can starve) queue.  The worker thread is work-conserving:
-  whenever it is free it takes whatever is queued, up to ``max_batch``
-  devices, stacks it into one array, scores it in a single engine pass and
-  cuts each request's rows out of the result.  It never waits for
-  stragglers; the requests that arrive while one batch is scoring form the
-  next, so per-device overhead still amortizes across concurrent clients.
-  When the queue is full, ``submit`` fails immediately with
-  :class:`QueueFullError` — explicit 429-style backpressure instead of
-  unbounded buffering.
+* :class:`BatchingEngine` — the batching front.  ``submit`` validates
+  each request once.  A request that finds no pass scoring and nothing
+  queued is scored at once on the calling thread (the HTTP handler's), so
+  a lone tester's request crosses no thread.  Any other request joins a
+  bounded, arrival-ordered (FIFO — no request can starve) queue, which
+  one worker thread drains: when the running pass ends it takes up to
+  ``max_batch`` devices, stacks them into one array, scores them in a
+  single engine pass and cuts each request's rows out of the result,
+  then goes straight on to the next batch until the queue is empty.  It
+  never waits for stragglers; the requests that arrive while one batch is
+  scoring form the next, so per-device overhead still amortizes across
+  concurrent clients.  Only one pass scores at a time, and a new request
+  never overtakes a queued one.  When the queue is full, ``submit`` fails
+  immediately with :class:`QueueFullError` — explicit 429-style
+  backpressure instead of unbounded buffering.
 
 The engine owns a private :class:`repro.obs.metrics.MetricsRegistry`; the
 server's ``GET /metricz`` endpoint snapshots it without touching the
 process-global observability session.  ``serve.requests`` counts requests
-(one per queued ``submit``) and ``serve.rejected`` the requests a full
-queue turned away.  ``serve.devices_scored``, the ``serve.batch_size`` and
+(one per accepted ``submit``, scored at once or queued) and
+``serve.rejected`` the requests a full queue turned away.
+``serve.devices_scored``, the ``serve.batch_size`` and
 ``serve.latency_ms`` histograms and the per-boundary verdict counters are
 recorded once per scoring pass, i.e. per batch.
 
@@ -336,7 +341,7 @@ class ScoringEngine:
 
 
 class _PendingRequest:
-    """One queued request: inputs + a completion event."""
+    """One request: inputs + a completion event."""
 
     __slots__ = ("fingerprints", "names", "event", "result", "error")
 
@@ -351,12 +356,23 @@ class _PendingRequest:
 class BatchingEngine:
     """Micro-batching front over a :class:`ScoringEngine`.
 
-    ``submit`` validates the request once, before it is queued (a malformed
-    request must never poison a batch), counts it in ``serve.requests`` and
-    blocks until the worker thread has scored it as part of a micro-batch.
-    A batch is whatever queued while the previous one was scoring; requests
-    in it sharing a boundary subset are stacked into one array, scored in a
-    single vectorized pass and handed their own rows of the result.
+    ``submit`` validates the request once (a malformed request must never
+    poison a batch) and counts it in ``serve.requests``.  Who scores it
+    depends on what the request finds:
+
+    * **The scorer idle and nothing queued** — the request marks the
+      scorer busy and is scored at once on the calling thread, as a batch
+      of one.  No other thread is woken or waited for.
+    * **A pass running or a backlog queued** — the request joins the
+      FIFO queue and blocks until the worker thread has scored it.  When
+      the running pass ends, the worker takes the queue ``max_batch``
+      devices at a time, in arrival order, back to back until it is
+      empty.  Requests in one batch sharing a boundary subset are stacked
+      into one array, scored in a single vectorized pass and handed their
+      own rows of the result.
+
+    Only one scoring pass runs at a time, and an arriving request never
+    overtakes a queued one.
 
     Parameters
     ----------
@@ -385,6 +401,7 @@ class BatchingEngine:
         self._queue: deque = deque()
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
+        self._busy = False  # a scoring pass is running
         self._closed = False
         self._worker = threading.Thread(
             target=self._run, name="repro-serve-batcher", daemon=True
@@ -399,26 +416,51 @@ class BatchingEngine:
         self, fingerprints, boundaries: Optional[Iterable[str]] = None,
         timeout: Optional[float] = 30.0,
     ) -> ScoreResult:
-        """Queue one request and block until its batch was scored."""
+        """Score one request: on this thread when the scorer is idle and
+        nothing is queued, otherwise queued behind the backlog.
+
+        ``timeout`` bounds only the wait of a queued request: on
+        :class:`TimeoutError` the request leaves the queue unscored (or,
+        once the worker has taken it, its result is dropped).  A request
+        scored on the calling thread runs to completion.
+        """
         array, names = self.engine.validate_request(fingerprints, boundaries)
         request = _PendingRequest(array, names)
         with self._lock:
             if self._closed:
                 raise RuntimeError("BatchingEngine is closed")
-            if len(self._queue) >= self.max_queue:
+            # A queue with no pass running has had the worker woken for
+            # it; a request that finds one still waits its turn.
+            idle = not self._busy and not self._queue
+            if idle:
+                self._busy = True
+            elif len(self._queue) >= self.max_queue:
                 self.engine.registry.counter("serve.rejected").inc()
                 raise QueueFullError(len(self._queue))
-            self._queue.append(request)
+            else:
+                self._queue.append(request)
             self.engine.registry.counter("serve.requests").inc()
-            self._wakeup.notify()
-        if not request.event.wait(timeout):
+        if idle:
+            try:
+                self._score_batch([request])
+            finally:
+                with self._lock:
+                    self._busy = False
+                    if self._queue:  # the backlog is the worker's
+                        self._wakeup.notify()
+        elif not request.event.wait(timeout):
+            with self._lock:
+                if request in self._queue:
+                    self._queue.remove(request)
             raise TimeoutError("scoring request timed out")
         if request.error is not None:
             raise request.error
         return request.result
 
     def close(self) -> None:
-        """Stop the worker after it drains and scores what is already queued."""
+        """Refuse new requests; stop the worker once it has scored what is
+        already queued.  A pass running on a caller's thread finishes and
+        returns its result."""
         with self._lock:
             self._closed = True
             self._wakeup.notify_all()
@@ -440,32 +482,33 @@ class BatchingEngine:
     # worker side
     # ------------------------------------------------------------------
 
-    def _drain_batch(self) -> List[_PendingRequest]:
-        """Wait for queued work, then take up to ``max_batch`` devices, FIFO.
-
-        Returns an empty list only once the engine is closed and drained.
-        A request larger than ``max_batch`` is taken alone.
-        """
-        batch: List[_PendingRequest] = []
-        devices = 0
-        with self._lock:
-            while not self._queue and not self._closed:
-                self._wakeup.wait()
-            while self._queue:
-                request = self._queue[0]
-                size = request.fingerprints.shape[0]
-                if batch and devices + size > self.max_batch:
-                    break
-                batch.append(self._queue.popleft())
-                devices += size
-        return batch
-
     def _run(self) -> None:
+        batch: List[_PendingRequest] = []
         while True:
-            batch = self._drain_batch()
-            if not batch:
-                return
+            with self._lock:
+                if batch:
+                    self._busy = False
+                while self._busy or not self._queue:
+                    if self._closed and not self._queue:
+                        return
+                    self._wakeup.wait()
+                self._busy = True
+                batch = self._take_batch()
             self._score_batch(batch)
+
+    def _take_batch(self) -> List[_PendingRequest]:
+        """Pop up to ``max_batch`` devices of queued requests, FIFO (lock
+        held, queue non-empty).  A request larger than ``max_batch`` is
+        taken alone."""
+        batch = [self._queue.popleft()]
+        devices = batch[0].fingerprints.shape[0]
+        while self._queue:
+            size = self._queue[0].fingerprints.shape[0]
+            if devices + size > self.max_batch:
+                break
+            batch.append(self._queue.popleft())
+            devices += size
+        return batch
 
     def _score_batch(self, batch: List[_PendingRequest]) -> None:
         # Group by requested boundary subset: each group becomes one
@@ -475,17 +518,17 @@ class BatchingEngine:
             groups.setdefault(request.names, []).append(request)
         for names, members in groups.items():
             try:
-                stacked = (
-                    members[0].fingerprints
-                    if len(members) == 1
-                    else np.concatenate([m.fingerprints for m in members], axis=0)
-                )
-                result = self.engine.score(stacked, names)
-                offset = 0
-                for member in members:
-                    n = member.fingerprints.shape[0]
-                    member.result = result.rows(offset, offset + n)
-                    offset += n
+                if len(members) == 1:
+                    members[0].result = self.engine.score(
+                        members[0].fingerprints, names)
+                else:
+                    result = self.engine.score(np.concatenate(
+                        [m.fingerprints for m in members], axis=0), names)
+                    offset = 0
+                    for member in members:
+                        n = member.fingerprints.shape[0]
+                        member.result = result.rows(offset, offset + n)
+                        offset += n
             except BaseException as error:  # surface to every waiter
                 for member in members:
                     member.error = error

@@ -27,8 +27,10 @@ Endpoints
     either format: validation failures return **400** with a structured
     body ``{"error": {"code": ..., "message": ...}}`` (a malformed frame
     header is ``bad_frame``, unparseable JSON ``bad_json``), an oversized
-    body **413** and a full queue **429** — the server never crashes on a
-    bad payload.
+    body **413**, a full queue **429** and a queued request not scored
+    within 30 s **504** (a request that finds the scorer idle is scored
+    on its handler thread and never times out) — the server never
+    crashes on a bad payload.
 ``GET /healthz``
     Liveness: always ``200 {"status": "ok"}`` while the process serves.
 ``GET /readyz``
@@ -37,7 +39,7 @@ Endpoints
 ``GET /metricz``
     JSON snapshot of the engine's metrics registry plus bundle identity
     (digest, schema version, boundaries).  Per request:
-    ``serve.requests`` (validated and queued), ``serve.rejected`` (queue
+    ``serve.requests`` (validated and accepted), ``serve.rejected`` (queue
     full) and, per wire format, ``serve.requests.frame`` /
     ``serve.requests.json`` (every score request whose body was read,
     valid or not).  Per scoring pass, i.e. per batch:
@@ -47,8 +49,10 @@ Endpoints
     gauge, read on every ``/metricz`` request.
 
 Built on :class:`http.server.ThreadingHTTPServer` — one thread per
-connection feeding the shared :class:`~repro.serve.engine.BatchingEngine`,
-which is where concurrent requests coalesce into vectorized batches.
+connection feeding the shared :class:`~repro.serve.engine.BatchingEngine`.
+A request that finds the scorer idle is scored on its handler thread;
+requests that arrive while it is busy queue and coalesce into vectorized
+batches on the batcher's worker thread.
 Connections are HTTP/1.1 keep-alive: a client sends request after request
 on one socket, so a screening request pays no TCP handshake and no thread
 start.  Nagle's algorithm is off on every connection; with it, the

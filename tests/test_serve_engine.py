@@ -1,9 +1,11 @@
 """Scoring-engine tests: validation codes, vectorized parity, micro-batching.
 
 Covers the synchronous :class:`ScoringEngine` (every structured rejection
-code, parity with the detector's own ``classify``) and the asynchronous
-:class:`BatchingEngine` (one validation per request, per-request result
-slicing under concurrency, FIFO backpressure, clean shutdown).
+code, parity with the detector's own ``classify``) and the
+:class:`BatchingEngine` (an idle scorer scores on the caller's thread, a
+backlog drains FIFO without being overtaken, one validation per request,
+per-request result slicing under concurrency, backpressure, timeouts that
+leave the queue, clean shutdown).
 """
 
 from __future__ import annotations
@@ -177,6 +179,13 @@ class _HeldEngine(ScoringEngine):
         return super().score(fingerprints, boundaries)
 
 
+def _wait_for_depth(batcher, depth):
+    deadline = time.monotonic() + 10
+    while batcher.queue_depth != depth:
+        assert time.monotonic() < deadline, f"queue never reached {depth}"
+        time.sleep(0.001)
+
+
 def _queue_while_held(batcher, engine, requests):
     """Queue ``requests`` in order while a one-device batch is held, then
     release the worker; returns each request's result, in order."""
@@ -195,16 +204,13 @@ def _queue_while_held(batcher, engine, requests):
     )
     first.start()
     assert engine.entered.wait(timeout=10)
-    deadline = time.monotonic() + 10
     for index, (fingerprints, boundaries) in enumerate(requests):
         thread = threading.Thread(target=submit,
                                   args=(index, fingerprints, boundaries))
         thread.start()
         threads.append(thread)
         # Wait for this request to land so the queue order is known.
-        while batcher.queue_depth != index + 1:
-            assert time.monotonic() < deadline, "request never queued"
-            time.sleep(0.001)
+        _wait_for_depth(batcher, index + 1)
     engine.release.set()
     for thread in [first, *threads]:
         thread.join(timeout=30)
@@ -214,13 +220,24 @@ def _queue_while_held(batcher, engine, requests):
 
 
 class TestBatching:
-    def test_submit_matches_direct_score(self, engine, experiment_data):
+    def test_submit_matches_direct_score(self, fitted_detector,
+                                         experiment_data):
+        """An uncontended request is scored on the caller's thread."""
+        threads = []
+
+        class _ThreadEngine(ScoringEngine):
+            def score(self, fingerprints, boundaries=None):
+                threads.append(threading.get_ident())
+                return super().score(fingerprints, boundaries)
+
         fingerprints = experiment_data.dutt_fingerprints[:8]
-        with BatchingEngine(engine) as batcher:
+        with BatchingEngine(_ThreadEngine(fitted_detector)) as batcher:
             batched = batcher.submit(fingerprints)
-        direct = engine.score(fingerprints)
+        assert threads == [threading.get_ident()]
+        direct = ScoringEngine(fitted_detector).score(fingerprints)
         for name in BOUNDARY_NAMES:
             assert np.array_equal(batched.scores[name], direct.scores[name])
+            assert np.array_equal(batched.verdicts[name], direct.verdicts[name])
 
     def test_concurrent_clients_get_their_own_slices(self, fitted_detector,
                                                      experiment_data):
@@ -260,6 +277,81 @@ class TestBatching:
                     alone.scores[name][3 * k:3 * k + 3],
                     rtol=1e-9, atol=1e-12, err_msg=f"{k}/{name}",
                 )
+
+    def test_arrival_during_backlog_is_scored_after_it(self, fitted_detector,
+                                                       experiment_data):
+        """A request that arrives while the worker scores one batch of a
+        backlog is queued behind the rest of it, not scored at once on its
+        own thread."""
+        engine = _HeldEngine(fitted_detector)
+        fingerprints = experiment_data.dutt_fingerprints
+        with BatchingEngine(engine, max_batch=3) as batcher:
+            outcome: dict = {}
+            first = threading.Thread(
+                target=lambda: batcher.submit(fingerprints[:1]), daemon=True)
+            first.start()
+            assert engine.entered.wait(timeout=10)
+            backlog = [threading.Thread(
+                target=lambda: batcher.submit(fingerprints[:3]), daemon=True)
+                for _ in range(2)]
+            for count, thread in enumerate(backlog, start=1):
+                thread.start()
+                _wait_for_depth(batcher, count)
+            # Hold the worker's first backlog pass, not only the idle one.
+            held, engine.release = engine.release, threading.Event()
+            engine.entered.clear()
+            held.set()
+            assert engine.entered.wait(timeout=10)
+            _wait_for_depth(batcher, 1)
+            late = threading.Thread(
+                target=lambda: outcome.update(late=batcher.submit(
+                    fingerprints[:2])), daemon=True)
+            late.start()
+            _wait_for_depth(batcher, 2)
+            engine.release.set()
+            for thread in [first, *backlog, late]:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        everything = tuple(BOUNDARY_NAMES)
+        assert engine.calls == [(1, everything), (3, everything),
+                                (3, everything), (2, everything)]
+        assert outcome["late"].n_devices == 2
+
+    def test_arrival_before_the_worker_wakes_is_queued(self, fitted_detector,
+                                                       experiment_data):
+        """Between the end of a pass and the worker waking for the backlog
+        nothing is scoring, yet a new request still queues behind it."""
+        unpark = threading.Event()
+
+        class _ParkedBatcher(BatchingEngine):
+            def _run(self):
+                assert unpark.wait(timeout=10)
+                super()._run()
+
+        engine = _HeldEngine(fitted_detector)
+        fingerprints = experiment_data.dutt_fingerprints
+        with _ParkedBatcher(engine) as batcher:
+            first = threading.Thread(
+                target=lambda: batcher.submit(fingerprints[:1]), daemon=True)
+            first.start()
+            assert engine.entered.wait(timeout=10)
+            threads = [threading.Thread(
+                target=lambda: batcher.submit(fingerprints[:3]), daemon=True)]
+            threads[0].start()
+            _wait_for_depth(batcher, 1)
+            engine.release.set()
+            first.join(timeout=10)
+            assert not first.is_alive()
+            threads.append(threading.Thread(
+                target=lambda: batcher.submit(fingerprints[:2]), daemon=True))
+            threads[1].start()
+            _wait_for_depth(batcher, 2)
+            unpark.set()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        everything = tuple(BOUNDARY_NAMES)
+        assert engine.calls == [(1, everything), (5, everything)]
 
     def test_mixed_boundary_subsets_in_one_batch(self, fitted_detector,
                                                  experiment_data):
@@ -320,16 +412,24 @@ class TestBatching:
 
     def test_concurrent_requests_at_the_cap_all_succeed(self, fitted_detector,
                                                         experiment_data):
-        """Threads racing requests of exactly the device cap: none is
-        refused, and no request or device goes uncounted."""
+        """Threads racing one-device requests and requests of exactly the
+        device cap: none is refused, each caller gets its own rows, and no
+        request or device goes uncounted."""
         engine = ScoringEngine(fitted_detector, max_request_devices=8)
-        fingerprints = experiment_data.dutt_fingerprints[:8]
+        fingerprints = experiment_data.dutt_fingerprints
+        expected = fitted_detector.decision_scores_batch(fingerprints[:11])
         errors: list = []
 
-        def client():
+        def client(index):
+            rows = slice(index, index + (8 if index % 2 else 1))
             try:
                 for _ in range(25):
-                    assert batcher.submit(fingerprints).n_devices == 8
+                    result = batcher.submit(fingerprints[rows])
+                    assert result.n_devices == rows.stop - rows.start
+                    for name in BOUNDARY_NAMES:
+                        np.testing.assert_allclose(
+                            result.scores[name], expected[name][rows],
+                            rtol=1e-9, atol=1e-12)
             except BaseException as error:  # surfaced by the assert below
                 errors.append(error)
 
@@ -337,7 +437,8 @@ class TestBatching:
         sys.setswitchinterval(1e-5)
         try:
             with BatchingEngine(engine) as batcher:
-                threads = [threading.Thread(target=client) for _ in range(4)]
+                threads = [threading.Thread(target=client, args=(index,))
+                           for index in range(4)]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
@@ -347,9 +448,13 @@ class TestBatching:
             sys.setswitchinterval(interval)
         assert not errors
         snapshot = engine.metrics_snapshot()
+        devices = 25 * (1 + 8 + 1 + 8)
         assert snapshot["counters"]["serve.requests"] == 100
-        assert snapshot["counters"]["serve.devices_scored"] == 800
-        assert snapshot["histograms"]["serve.batch_size"]["total"] == 800
+        assert snapshot["counters"]["serve.devices_scored"] == devices
+        histogram = snapshot["histograms"]["serve.batch_size"]
+        assert histogram["total"] == devices
+        assert snapshot["histograms"]["serve.latency_ms"]["count"] == (
+            histogram["count"])
 
     def test_requests_and_batches_are_counted_apart(self, fitted_detector,
                                                     experiment_data):
@@ -372,15 +477,8 @@ class TestBatching:
 
     def test_backpressure_raises_queue_full(self, fitted_detector,
                                             experiment_data):
-        """With the worker wedged and the queue full, submit fails fast."""
-        release = threading.Event()
-
-        class _WedgedEngine(ScoringEngine):
-            def score(self, fingerprints, boundaries=None):
-                release.wait(timeout=10)
-                return super().score(fingerprints, boundaries)
-
-        engine = _WedgedEngine(fitted_detector)
+        """With a pass held and the queue full, submit fails fast."""
+        engine = _HeldEngine(fitted_detector)
         fingerprints = experiment_data.dutt_fingerprints[:2]
         batcher = BatchingEngine(engine, max_queue=1)
         try:
@@ -388,33 +486,66 @@ class TestBatching:
                 target=lambda: batcher.submit(fingerprints), daemon=True
             )
             first.start()
-            deadline = time.monotonic() + 5
-            # Wait for the worker to pull the first request and wedge on it.
-            while batcher.queue_depth != 0 and time.monotonic() < deadline:
-                time.sleep(0.001)
+            assert engine.entered.wait(timeout=10)
             second = threading.Thread(
                 target=lambda: batcher.submit(fingerprints), daemon=True
             )
             second.start()
-            while batcher.queue_depth != 1 and time.monotonic() < deadline:
-                time.sleep(0.001)
-            assert batcher.queue_depth == 1
+            _wait_for_depth(batcher, 1)
             with pytest.raises(QueueFullError):
                 batcher.submit(fingerprints)
             snapshot = engine.metrics_snapshot()
             assert snapshot["counters"]["serve.rejected"] == 1
         finally:
-            release.set()
+            engine.release.set()
             batcher.close()
         first.join(timeout=5)
         second.join(timeout=5)
         assert not first.is_alive() and not second.is_alive()
 
-    def test_submit_after_close_raises(self, engine, experiment_data):
+    def test_timed_out_request_leaves_the_queue(self, fitted_detector,
+                                                experiment_data):
+        """A queued request that times out gives its slot back and is
+        never scored."""
+        engine = _HeldEngine(fitted_detector)
+        fingerprints = experiment_data.dutt_fingerprints
+        with BatchingEngine(engine) as batcher:
+            first = threading.Thread(
+                target=lambda: batcher.submit(fingerprints[:1]), daemon=True)
+            first.start()
+            try:
+                assert engine.entered.wait(timeout=10)
+                with pytest.raises(TimeoutError):
+                    batcher.submit(fingerprints[:7], timeout=0.1)
+                assert batcher.queue_depth == 0
+            finally:
+                engine.release.set()
+            first.join(timeout=10)
+            assert not first.is_alive()
+        assert engine.calls == [(1, tuple(BOUNDARY_NAMES))]
+
+    def test_submit_after_close_raises(self, fitted_detector, experiment_data):
+        """``close`` during a pass on a caller's thread lets that pass
+        return its result; any later request is refused."""
+        engine = _HeldEngine(fitted_detector)
+        fingerprints = experiment_data.dutt_fingerprints[:1]
         batcher = BatchingEngine(engine)
-        batcher.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            batcher.submit(experiment_data.dutt_fingerprints[:1])
+        outcome: dict = {}
+        running = threading.Thread(
+            target=lambda: outcome.update(result=batcher.submit(fingerprints)),
+            daemon=True)
+        running.start()
+        try:
+            assert engine.entered.wait(timeout=10)
+            batcher.close()
+            with pytest.raises(RuntimeError, match="closed"):
+                batcher.submit(fingerprints)
+        finally:
+            engine.release.set()
+        running.join(timeout=10)
+        assert not running.is_alive()
+        assert outcome["result"].n_devices == 1
+        assert engine.calls == [(1, tuple(BOUNDARY_NAMES))]
 
     def test_knob_validation(self, engine):
         with pytest.raises(ValueError, match="max_batch"):
