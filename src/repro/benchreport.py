@@ -64,7 +64,7 @@ def time_case(fn: Callable[[], object], repeats: int = 5, warmup: int = 1) -> fl
     return best
 
 
-def build_cases(n_jobs: int = 1) -> Dict[str, Callable[[], object]]:
+def build_cases() -> Dict[str, Callable[[], object]]:
     """The component workloads, keyed by report name (insertion-ordered)."""
     from repro.circuits.montecarlo import MonteCarloEngine
     from repro.circuits.spicemodel import default_spice_deck
@@ -86,7 +86,7 @@ def build_cases(n_jobs: int = 1) -> Dict[str, Callable[[], object]]:
     kde_train = rng.standard_normal((1500, 6))
     kde_eval = rng.standard_normal((2000, 6))
     svm_train = np.random.default_rng(0).standard_normal((1500, 6))
-    bench_detector = DetectorConfig(kde_samples=30_000, n_jobs=n_jobs)
+    bench_detector = DetectorConfig(kde_samples=30_000)
     sample_kde = AdaptiveKde(alpha=0.5).fit(data.sim_fingerprints)
     deck = default_spice_deck()
     sim_campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0)
@@ -136,16 +136,15 @@ def build_cases(n_jobs: int = 1) -> Dict[str, Callable[[], object]]:
     }
 
 
-def run_report(n_jobs: int = 1, verbose: bool = True) -> dict:
+def run_report(verbose: bool = True) -> dict:
     """Time every component and return the report dictionary."""
     results: Dict[str, float] = {}
-    for name, fn in build_cases(n_jobs=n_jobs).items():
+    for name, fn in build_cases().items():
         repeats, warmup = _TIMING_PLAN.get(name, (5, 1))
         results[name] = time_case(fn, repeats=repeats, warmup=warmup)
         if verbose:
             print(f"{name:>12}: {results[name] * 1e3:9.2f} ms")
-    return {"schema": SCHEMA_VERSION, "units": "seconds", "n_jobs": n_jobs,
-            "results": results}
+    return {"schema": SCHEMA_VERSION, "units": "seconds", "results": results}
 
 
 def compare_reports(current: dict, baseline: dict, threshold: float = 0.20) -> List[str]:
@@ -194,7 +193,7 @@ def write_run_artifacts(report: dict, run_dir: str, argv: List[str]) -> str:
         argv=list(argv),
         environment=collect_environment(),
         git=git_revision(),
-        config={"n_jobs": report["n_jobs"], "schema": report["schema"]},
+        config={"schema": report["schema"]},
         results=report["results"],
     )
     return write_manifest(manifest, run_dir)
@@ -217,10 +216,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="allowed slowdown vs baseline (0.20 = 20%%)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the parallel-capable components",
-    )
-    parser.add_argument(
         "--run-dir", type=str, default=None,
         help="also write manifest.json for this bench run "
              "(same format as traced pipeline runs)",
@@ -228,7 +223,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     argv_record = list(sys.argv[1:]) if argv is None else list(argv)
 
-    report = run_report(n_jobs=args.jobs)
+    report = run_report()
 
     if args.run_dir:
         manifest_path = write_run_artifacts(report, args.run_dir, argv_record)

@@ -99,11 +99,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--data", type=str, default=None,
         help="load measurements from a .npz written by the generate command",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the five boundary fits "
-             "(results are bit-identical for any value; -1 = all cores)",
-    )
     _add_obs(parser)
 
 
@@ -114,7 +109,7 @@ def _resolve_data(args):
 
 
 def _detector_config(args) -> DetectorConfig:
-    return DetectorConfig(kde_samples=args.kde_samples, n_jobs=args.jobs)
+    return DetectorConfig(kde_samples=args.kde_samples)
 
 
 def _cmd_table1(args) -> int:

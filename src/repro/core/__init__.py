@@ -16,12 +16,7 @@ from repro.core.boundaries import TrustedRegion
 from repro.core.config import DetectorConfig
 from repro.core.datasets import DatasetBundle
 from repro.core.golden import GoldenReferenceDetector
-from repro.core.io import (
-    load_detector_config,
-    load_experiment_data,
-    save_detector_config,
-    save_experiment_data,
-)
+from repro.core.io import load_experiment_data, save_experiment_data
 from repro.core.metrics import DetectionMetrics, evaluate_detection
 from repro.core.pipeline import GoldenChipFreeDetector
 from repro.core.report import format_table1
@@ -33,8 +28,6 @@ __all__ = [
     "GoldenReferenceDetector",
     "save_experiment_data",
     "load_experiment_data",
-    "save_detector_config",
-    "load_detector_config",
     "GoldenChipFreeDetector",
     "DetectionMetrics",
     "evaluate_detection",

@@ -17,6 +17,7 @@ RETIRED_KEYS = {
     "boundary_method": "ocsvm",
     "regression_mode": "latent_gain",
     "n_monte_carlo": None,
+    "n_jobs": None,
 }
 
 
@@ -63,11 +64,6 @@ class DetectorConfig:
         MARS forward-pass capacity for the PCM -> fingerprint regressions.
     seed:
         Master seed for every stochastic pipeline step.
-    n_jobs:
-        Worker processes for the independent boundary fits (clamped to the
-        CPU count; negative = joblib convention).  Results are bit-identical
-        for every value: each boundary owns a child generator spawned from
-        the master seed.
     """
 
     kde_samples: int = 100_000
@@ -87,7 +83,6 @@ class DetectorConfig:
     mars_max_degree: int = 1
     mars_penalty: float = 2.0
     seed: Optional[int] = 11
-    n_jobs: int = 1
 
     def __post_init__(self):
         if self.kde_samples < 1:
@@ -109,8 +104,6 @@ class DetectorConfig:
                 "svm_max_training_samples must be >= 10, "
                 f"got {self.svm_max_training_samples}"
             )
-        if not isinstance(self.n_jobs, int) or isinstance(self.n_jobs, bool):
-            raise ValueError(f"n_jobs must be an integer, got {self.n_jobs!r}")
 
 
 def drop_retired_keys(raw: dict, retired: dict = RETIRED_KEYS) -> dict:

@@ -1,20 +1,17 @@
-"""Persistence: save and load experiment data and detector configurations.
+"""Persistence: save and load experiment data.
 
 Production flows separate data collection (bench time) from analysis; these
-helpers serialize the measurement campaign results to ``.npz`` and the
-detector configuration to JSON so an audit can be re-run or archived.
+helpers serialize the measurement campaign results to ``.npz`` so an audit
+can be re-run or archived.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from repro.core.config import DetectorConfig, drop_retired_keys
 from repro.experiments.platformcfg import ExperimentData
 
 PathLike = Union[str, Path]
@@ -60,27 +57,3 @@ def load_experiment_data(path: PathLike) -> ExperimentData:
             trojan_names=[str(name) for name in archive["trojan_names"]],
             campaign=None,
         )
-
-
-def save_detector_config(config: DetectorConfig, path: PathLike) -> Path:
-    """Write a detector configuration as JSON."""
-    path = Path(path)
-    path.write_text(json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True))
-    return path
-
-
-def load_detector_config(path: PathLike) -> DetectorConfig:
-    """Load a configuration written by :func:`save_detector_config`.
-
-    Unknown keys are rejected — a config written by a newer library version
-    should fail loudly rather than be silently misinterpreted — except the
-    retired fields older versions wrote (:data:`~repro.core.config.RETIRED_KEYS`),
-    which are dropped while they hold their one allowed value and refused
-    otherwise.
-    """
-    raw = drop_retired_keys(json.loads(Path(path).read_text()))
-    known = {field.name for field in dataclasses.fields(DetectorConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
-    return DetectorConfig(**raw)

@@ -38,17 +38,10 @@ from repro.core.metrics import DetectionMetrics, evaluate_detection
 from repro.learn.latent import LatentGainMars
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
-from repro.utils.parallel import parallel_map
 from repro.utils.rng import spawn_children
 from repro.utils.validation import check_2d
 
 BOUNDARY_NAMES = ("B1", "B2", "B3", "B4", "B5")
-
-
-def _fit_region(item):
-    """Fit one trusted region on its dataset (picklable pool worker)."""
-    region, data = item
-    return region.fit(data)
 
 
 class GoldenChipFreeDetector:
@@ -81,20 +74,20 @@ class GoldenChipFreeDetector:
         # Independent child generators per stochastic step, all derived from
         # the master seed: [S2 KDE, KMM resample, S5 KDE, B1, B2, B3, B4, B5].
         # SeedSequence spawning is prefix-stable, so the first three streams
-        # match the historical 4-child layout; each boundary now owns its own
-        # stream (required for order-independent, parallelizable fits).  The
-        # same independence lets the artifact cache serve any one stage warm
-        # without perturbing what the remaining cold stages compute.
+        # match the historical 4-child layout; each boundary owns its own
+        # stream, so its fit does not depend on which other boundaries are
+        # fitted before it.  The same independence lets the artifact cache
+        # serve any one stage warm without perturbing what the remaining
+        # cold stages compute.
         self._rngs = spawn_children(self.config.seed, 3 + len(BOUNDARY_NAMES))
 
     # ------------------------------------------------------------------
     # artifact-cache plumbing
     # ------------------------------------------------------------------
 
-    #: DetectorConfig fields each cacheable stage depends on.  ``n_jobs``
-    #: never appears (results are bit-identical for any worker count);
-    #: ``seed`` is appended automatically for stochastic stages.  The
-    #: regression class joins the regression-dependent parts by name (see
+    #: DetectorConfig fields each cacheable stage depends on; ``seed`` is
+    #: appended automatically for stochastic stages.  The regression class
+    #: joins the regression-dependent parts by name (see
     #: :meth:`_regression_parts`).
     _STAGE_FIELDS = {
         "regressions": ("mars_max_terms", "mars_max_degree", "mars_penalty"),
@@ -258,12 +251,11 @@ class GoldenChipFreeDetector:
         )
 
     def _fit_boundaries(self, mapping: Dict[str, str]) -> None:
-        """Fit independent boundaries, optionally across worker processes.
+        """Fit the boundaries of ``mapping`` one after another, in order.
 
-        Each boundary consumes only its own child generator, so fitting in a
-        pool yields the same regions as fitting serially, in any order —
-        and a cached boundary can be served without touching the streams of
-        the ones that still need fitting.
+        Each boundary consumes only its own child generator, so a cached
+        boundary can be served without touching the streams of the ones
+        that still need fitting.
         """
         cache = artifact_cache.get_cache()
         use_cache = cache is not None and self.config.seed is not None
@@ -282,12 +274,11 @@ class GoldenChipFreeDetector:
                     del pending[name]
         if not pending:
             return
-        pairs = [(self._new_region(name), self.datasets[dataset])
-                 for name, dataset in pending.items()]
-        with span("pipeline.fit_boundaries", boundaries=",".join(pending),
-                  n_jobs=self.config.n_jobs):
-            fitted = parallel_map(_fit_region, pairs, n_jobs=self.config.n_jobs)
-        for name, region in zip(pending, fitted):
+        regions = {name: self._new_region(name) for name in pending}
+        with span("pipeline.fit_boundaries", boundaries=",".join(pending)):
+            for name, dataset in pending.items():
+                regions[name].fit(self.datasets[dataset])
+        for name, region in regions.items():
             self.boundaries[name] = region
             if use_cache:
                 cache.store("boundary", keys[name], region)

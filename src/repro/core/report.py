@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Mapping
 
 from repro.core.metrics import DetectionMetrics
 
@@ -32,40 +32,3 @@ def format_table1(results: Mapping[str, DetectionMetrics], title: str = "") -> s
             f"| {metrics.fn_count:>2d}/{metrics.n_trojan_free:<3d}"
         )
     return "\n".join(lines)
-
-
-def format_table1_markdown(results: Mapping[str, DetectionMetrics],
-                           paper_fn: Mapping[str, int] = None) -> str:
-    """Render FP/FN metrics as a Markdown table (for reports/EXPERIMENTS.md).
-
-    ``paper_fn`` optionally adds the paper's FN column for comparison.
-    """
-    if not results:
-        raise ValueError("no results to format")
-    header = "| Data set | FP | FN |"
-    divider = "|---|---:|---:|"
-    if paper_fn:
-        header = "| Data set | FP | FN | Paper FN |"
-        divider = "|---|---:|---:|---:|"
-    lines = [header, divider]
-    for boundary in ("B1", "B2", "B3", "B4", "B5"):
-        if boundary not in results:
-            continue
-        metrics = results[boundary]
-        dataset = BOUNDARY_TO_DATASET.get(boundary, "?")
-        row = (
-            f"| {dataset} | {metrics.fp_count}/{metrics.n_infested} "
-            f"| {metrics.fn_count}/{metrics.n_trojan_free} |"
-        )
-        if paper_fn:
-            row += f" {paper_fn.get(boundary, '—')}/{metrics.n_trojan_free} |"
-        lines.append(row)
-    return "\n".join(lines)
-
-
-def summarize_rates(results: Mapping[str, DetectionMetrics]) -> Dict[str, Dict[str, float]]:
-    """FP/FN rates per boundary as plain floats (for machine consumption)."""
-    return {
-        name: {"fp_rate": metrics.fp_rate, "fn_rate": metrics.fn_rate}
-        for name, metrics in results.items()
-    }

@@ -5,22 +5,12 @@ encrypts plaintext blocks with AES-128 before serializing the ciphertext to
 the UWB transmitter.  This package provides that core.
 """
 
-from repro.crypto.aes import AES128, aes128_decrypt_block, aes128_encrypt_block
-from repro.crypto.bits import (
-    bits_to_bytes,
-    bytes_to_bits,
-    hamming_weight,
-    random_block,
-    random_key,
-)
+from repro.crypto.aes import AES128
+from repro.crypto.bits import bytes_to_bits, random_block, random_key
 
 __all__ = [
     "AES128",
-    "aes128_encrypt_block",
-    "aes128_decrypt_block",
     "bytes_to_bits",
-    "bits_to_bytes",
-    "hamming_weight",
     "random_block",
     "random_key",
 ]

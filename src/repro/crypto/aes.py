@@ -302,13 +302,3 @@ def aes128_encrypt_blocks(key: bytes, blocks: np.ndarray) -> np.ndarray:
     state = _SBOX_TABLE[state]
     state = state[..., _SHIFT_ROWS_IDX]
     return state ^ round_keys[10]
-
-
-def aes128_encrypt_block(key: bytes, plaintext: bytes) -> bytes:
-    """One-shot AES-128 block encryption."""
-    return AES128(key).encrypt_block(plaintext)
-
-
-def aes128_decrypt_block(key: bytes, ciphertext: bytes) -> bytes:
-    """One-shot AES-128 block decryption."""
-    return AES128(key).decrypt_block(ciphertext)

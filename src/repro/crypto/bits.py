@@ -21,27 +21,6 @@ def bytes_to_bits(data: bytes) -> np.ndarray:
     return np.unpackbits(arr)
 
 
-def bits_to_bytes(bits) -> bytes:
-    """Pack an MSB-first bit sequence back into bytes.
-
-    Raises ``ValueError`` if the bit count is not a multiple of 8 or any
-    element is not 0/1.
-    """
-    arr = np.asarray(bits)
-    if arr.ndim != 1:
-        raise ValueError(f"bits must be 1-D, got shape {arr.shape}")
-    if arr.size % 8 != 0:
-        raise ValueError(f"bit count must be a multiple of 8, got {arr.size}")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("bits must contain only 0 and 1")
-    return np.packbits(arr.astype(np.uint8)).tobytes()
-
-
-def hamming_weight(data: bytes) -> int:
-    """Number of set bits in ``data``."""
-    return int(bytes_to_bits(data).sum())
-
-
 def random_block(rng: SeedLike = None) -> bytes:
     """Draw a uniformly random 128-bit block (e.g. a plaintext)."""
     gen = as_generator(rng)

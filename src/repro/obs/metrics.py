@@ -14,12 +14,6 @@ Same contract as :mod:`repro.obs.trace`: recording is off by default, and a
 disabled registry hands out one shared null instrument — instrumented code
 writes ``counter("mc.devices").inc()`` unconditionally and pays one global
 read when observability is off.
-
-Worker processes record into their own registry (installed by the pool
-wrapper in :mod:`repro.obs.trace`); the per-item snapshot is merged back
-into the dispatching registry by :func:`merge`, so counts are exact for any
-``n_jobs``.  Merge semantics: counters add, histograms combine their
-summaries, gauges last-write-wins (they are point-in-time diagnostics).
 """
 
 from __future__ import annotations
@@ -37,9 +31,7 @@ __all__ = [
     "enable",
     "disable",
     "enabled",
-    "merge",
     "snapshot",
-    "swap_registry",
 ]
 
 
@@ -163,28 +155,6 @@ class MetricsRegistry:
             },
         }
 
-    def merge(self, other: dict) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a pool worker) into this registry."""
-        for name, value in other.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in other.get("gauges", {}).items():
-            if value is not None:
-                self.gauge(name).set(value)
-        for name, summary in other.get("histograms", {}).items():
-            hist = self.histogram(name)
-            count = int(summary.get("count", 0))
-            if count == 0:
-                continue
-            hist.count += count
-            hist.total += float(summary.get("total", 0.0))
-            for bound, pick in (("min", min), ("max", max)):
-                theirs = summary.get(bound)
-                if theirs is None:
-                    continue
-                attr = "minimum" if bound == "min" else "maximum"
-                ours = getattr(hist, attr)
-                setattr(hist, attr, theirs if ours is None else pick(ours, theirs))
-
 
 _registry: Optional[MetricsRegistry] = None
 
@@ -209,18 +179,6 @@ def enabled() -> bool:
     return _registry is not None
 
 
-def swap_registry(registry: Optional[MetricsRegistry]) -> Optional[MetricsRegistry]:
-    """Install ``registry`` (may be ``None``), returning the previous one.
-
-    Used by the pool-task wrapper to give each worker item its own registry
-    and restore the inherited state afterwards.
-    """
-    global _registry
-    previous = _registry
-    _registry = registry
-    return previous
-
-
 def counter(name: str):
     """The named counter, or the shared null instrument when disabled."""
     registry = _registry
@@ -242,9 +200,3 @@ def histogram(name: str):
 def snapshot() -> dict:
     """Snapshot of the active registry (empty dict when disabled)."""
     return _registry.snapshot() if _registry is not None else {}
-
-
-def merge(other: dict) -> None:
-    """Merge a snapshot into the active registry (no-op when disabled)."""
-    if _registry is not None and other:
-        _registry.merge(other)

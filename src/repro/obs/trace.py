@@ -16,27 +16,17 @@ Design constraints, in priority order:
   read, no allocation — so the PR-1 hot paths keep their timings.
 * **Nestable.**  An enabled tracer keeps a span stack; a span started while
   another is open becomes its child, giving a proper call tree.
-* **Pool-transparent.**  Work dispatched through
-  :func:`repro.utils.parallel.parallel_map` runs in worker processes with
-  their own module state.  :func:`wrap_pool_task` captures the dispatching
-  span, the wrapper collects every span (and metrics delta) the worker
-  produces for one item, and :func:`unwrap_pool_results` re-parents them
-  under the dispatching span with the worker's pid attached — the report
-  shows one tree regardless of ``n_jobs``.
 * **Never touches randomness.**  Instrumentation reads clocks only, so
   results are bit-identical with tracing on or off (guarded by
   ``tests/test_parallel_determinism.py``).
 
 Wall time is ``time.perf_counter`` (monotonic, high resolution), CPU time is
-``time.process_time`` (per process — a worker span's CPU is measured in the
-worker), and ``start`` is epoch time so spans from different processes share
-one timeline.
+``time.process_time`` and ``start`` is epoch time.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -49,8 +39,6 @@ __all__ = [
     "enabled",
     "finished_spans",
     "span",
-    "unwrap_pool_results",
-    "wrap_pool_task",
 ]
 
 
@@ -65,14 +53,11 @@ class Span:
     span_id / parent_id:
         Tracer-local integer ids; ``parent_id`` is ``None`` for a root span.
     start:
-        Epoch seconds at ``__enter__`` (comparable across processes).
+        Epoch seconds at ``__enter__``.
     wall / cpu:
         Elapsed wall-clock and CPU seconds of the span body.
     attributes:
         Key/value payload (sizes, hyper-parameters, fit diagnostics).
-    worker:
-        Pid of the pool worker that produced the span; ``None`` for spans
-        recorded in the dispatching process.
     """
 
     name: str
@@ -82,7 +67,6 @@ class Span:
     wall: float = 0.0
     cpu: float = 0.0
     attributes: Dict[str, Any] = field(default_factory=dict)
-    worker: Optional[int] = None
 
     def to_dict(self) -> dict:
         """JSON-ready representation (used by the manifest)."""
@@ -94,7 +78,6 @@ class Span:
             "wall": self.wall,
             "cpu": self.cpu,
             "attributes": dict(self.attributes),
-            "worker": self.worker,
         }
 
     @classmethod
@@ -108,7 +91,6 @@ class Span:
             wall=data.get("wall", 0.0),
             cpu=data.get("cpu", 0.0),
             attributes=dict(data.get("attributes", {})),
-            worker=data.get("worker"),
         )
 
 
@@ -144,22 +126,6 @@ class Tracer:
             if top is closed:
                 break
         self.finished.append(closed)
-
-    def adopt(self, spans: List[Span], parent_id: Optional[int] = None,
-              worker: Optional[int] = None) -> None:
-        """Graft spans recorded by another tracer (a pool worker) in here.
-
-        Worker tracers number spans from 1, so ids are remapped onto this
-        tracer's counter; worker-root spans are re-parented under
-        ``parent_id`` (the span that dispatched the work).
-        """
-        mapping = {recorded.span_id: next(self._counter) for recorded in spans}
-        for recorded in spans:
-            recorded.span_id = mapping[recorded.span_id]
-            recorded.parent_id = mapping.get(recorded.parent_id, parent_id)
-            if recorded.worker is None:
-                recorded.worker = worker
-            self.finished.append(recorded)
 
 
 class _NoopSpan:
@@ -247,86 +213,3 @@ def span(name: str, **attributes):
     if tracer is None:
         return _NOOP
     return _LiveSpan(tracer, name, attributes)
-
-
-# ----------------------------------------------------------------------
-# process-pool plumbing (used by repro.utils.parallel)
-# ----------------------------------------------------------------------
-
-
-class _PoolResult:
-    """A worker's return value bundled with its telemetry."""
-
-    __slots__ = ("value", "spans", "metrics", "pid", "parent_id")
-
-    def __init__(self, value, spans, metrics, pid, parent_id):
-        self.value = value
-        self.spans = spans
-        self.metrics = metrics
-        self.pid = pid
-        self.parent_id = parent_id
-
-
-class _PoolTask:
-    """Picklable wrapper running one work item under a fresh worker tracer.
-
-    A forked worker inherits the parent's module state (including an enabled
-    tracer full of parent spans), so the wrapper installs a clean tracer and
-    metrics registry per item and restores the inherited state afterwards —
-    every span and metric increment is reported exactly once, through the
-    returned :class:`_PoolResult`.
-    """
-
-    __slots__ = ("fn", "parent_id")
-
-    def __init__(self, fn, parent_id):
-        self.fn = fn
-        self.parent_id = parent_id
-
-    def __call__(self, item):
-        global _tracer
-        from repro.obs import metrics as obs_metrics
-
-        outer_tracer = _tracer
-        outer_registry = obs_metrics.swap_registry(obs_metrics.MetricsRegistry())
-        _tracer = Tracer()
-        try:
-            value = self.fn(item)
-            return _PoolResult(
-                value=value,
-                spans=list(_tracer.finished),
-                metrics=obs_metrics.snapshot(),
-                pid=os.getpid(),
-                parent_id=self.parent_id,
-            )
-        finally:
-            _tracer = outer_tracer
-            obs_metrics.swap_registry(outer_registry)
-
-
-def wrap_pool_task(fn):
-    """Wrap a pool worker function so its telemetry survives the pool.
-
-    Returns ``fn`` unchanged when tracing is disabled, keeping the pool
-    payload identical to the untraced run.
-    """
-    if _tracer is None:
-        return fn
-    return _PoolTask(fn, _tracer.current_span_id())
-
-
-def unwrap_pool_results(results: List) -> List:
-    """Extract plain values from pool results, adopting worker telemetry."""
-    from repro.obs import metrics as obs_metrics
-
-    values = []
-    for result in results:
-        if isinstance(result, _PoolResult):
-            if _tracer is not None:
-                _tracer.adopt(result.spans, parent_id=result.parent_id,
-                              worker=result.pid)
-            obs_metrics.merge(result.metrics)
-            values.append(result.value)
-        else:
-            values.append(result)
-    return values

@@ -165,19 +165,6 @@ def stack_parameters(realizations: Sequence[ProcessParameters]) -> ProcessParame
     return ProcessParameters(**fields)
 
 
-def parameters_at(params: ProcessParameters, index: int) -> ProcessParameters:
-    """Extract one device's scalar parameters from an array-valued stack.
-
-    Scalar fields (e.g. an inactive variation component left unperturbed)
-    are passed through unchanged.
-    """
-    fields = {}
-    for name in PARAMETER_NAMES:
-        value = getattr(params, name)
-        fields[name] = float(value[index]) if np.ndim(value) > 0 else float(value)
-    return ProcessParameters(**fields)
-
-
 def nominal_350nm() -> ProcessParameters:
     """The nominal operating point of the synthetic 350 nm technology."""
     return ProcessParameters().validate()

@@ -36,7 +36,6 @@ from repro.serve.bundle import (
     BundleIntegrityError,
     export_bundle,
     load_bundle,
-    read_bundle_header,
 )
 from repro.serve.engine import (
     BatchingEngine,
@@ -65,5 +64,4 @@ __all__ = [
     "ServerError",
     "export_bundle",
     "load_bundle",
-    "read_bundle_header",
 ]

@@ -207,20 +207,6 @@ def _parse_header(raw: bytes, path: str) -> dict:
     return header
 
 
-def read_bundle_header(path) -> dict:
-    """Parse and version-check a bundle's header without decoding the payload."""
-    path = os.fspath(path)
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            if HEADER_ENTRY not in archive.files:
-                raise BundleFormatError(f"{path}: no {HEADER_ENTRY} record")
-            return _parse_header(archive[HEADER_ENTRY].tobytes(), path)
-    except BundleError:
-        raise
-    except Exception as error:  # zipfile/numpy errors on truncated files
-        raise BundleFormatError(f"{path}: unreadable bundle: {error}")
-
-
 def load_bundle(path) -> LoadedBundle:
     """Load, verify and restore a bundle written by :func:`export_bundle`.
 
@@ -232,7 +218,10 @@ def load_bundle(path) -> LoadedBundle:
     """
     path = os.fspath(path)
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # np.load leaves the file open when it is not a readable archive
+        # (a truncated bundle), so the handle is owned here.
+        with open(path, "rb") as handle, \
+                np.load(handle, allow_pickle=False) as archive:
             if HEADER_ENTRY not in archive.files:
                 raise BundleFormatError(f"{path}: no {HEADER_ENTRY} record")
             header = _parse_header(archive[HEADER_ENTRY].tobytes(), path)

@@ -51,10 +51,10 @@ def spawn_children(seed: SeedLike, count: int) -> list:
 def spawn_seed_sequences(seed: SeedLike, count: int) -> list:
     """Derive ``count`` independent :class:`~numpy.random.SeedSequence` children.
 
-    Unlike :func:`spawn_children` this returns *seeds*, not generators, so the
-    children can cross a process boundary cheaply and be turned into
-    generators inside worker processes.  All entropy is drawn up front in the
-    caller, which makes results independent of worker scheduling.
+    Unlike :func:`spawn_children` this returns *seeds*, not generators, so
+    each child can be spawned further before it becomes a generator.  All
+    entropy is drawn up front in the caller, which makes results independent
+    of the order in which the children are consumed.
 
     Like ``SeedSequence.spawn``, the children are prefix-stable: the first
     ``k`` of ``spawn_seed_sequences(seed, n)`` equal

@@ -6,6 +6,8 @@ MARS forward pass scores every candidate knot through incremental normal
 equations.  Both are exact — bitwise what the obvious, slow formulation
 computes — and the oracles here *are* that formulation:
 
+* :func:`parameters_at` extracts one die's scalar parameters from the
+  population's array-valued stack;
 * :func:`measure_population_loop` measures one die at a time through the
   scalar chain :meth:`FingerprintCampaign.measure_device`, with per-device
   instruments built from each device's spawned ``(power, delay)`` streams;
@@ -50,12 +52,25 @@ import numpy as np
 from repro.circuits.montecarlo import MonteCarloResult, SimulatedDie
 from repro.learn.mars import BasisFunction, HingeTerm, MarsRegression
 from repro.learn.ocsvm import OneClassSvm
-from repro.process.parameters import parameters_at
+from repro.process.parameters import PARAMETER_NAMES, ProcessParameters
 from repro.process.population import DiePopulation, sample_structure_params
 from repro.silicon.instruments import DelayAnalyzer, PowerMeter
 from repro.stats.kde import unit_ball_volume
 from repro.stats.kernels import pairwise_sq_dists, rbf_from_sq_dists
 from repro.utils.rng import as_generator, spawn_seed_sequences
+
+
+def parameters_at(params: ProcessParameters, index: int) -> ProcessParameters:
+    """Extract one device's scalar parameters from an array-valued stack.
+
+    Scalar fields (e.g. an inactive variation component left unperturbed)
+    are passed through unchanged.
+    """
+    fields = {}
+    for name in PARAMETER_NAMES:
+        value = getattr(params, name)
+        fields[name] = float(value[index]) if np.ndim(value) > 0 else float(value)
+    return ProcessParameters(**fields)
 
 
 @dataclasses.dataclass

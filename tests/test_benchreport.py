@@ -13,8 +13,7 @@ from repro.benchreport import SCHEMA_VERSION, compare_reports, main, time_case
 
 
 def _report(**results):
-    return {"schema": SCHEMA_VERSION, "units": "seconds", "n_jobs": 1,
-            "results": results}
+    return {"schema": SCHEMA_VERSION, "units": "seconds", "results": results}
 
 
 class TestTimeCase:
@@ -58,7 +57,7 @@ class TestCompareGateCli:
     def stub_report(self, monkeypatch):
         report = _report(kde_density=0.10)
         monkeypatch.setattr(
-            "repro.benchreport.run_report", lambda n_jobs=1, verbose=True: report
+            "repro.benchreport.run_report", lambda verbose=True: report
         )
         return report
 

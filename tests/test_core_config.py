@@ -25,7 +25,6 @@ def test_defaults_construct():
         dict(kmm_B=0.0),
         dict(kmm_resample_size=0),
         dict(svm_max_training_samples=5),
-        dict(n_jobs=1.5),
     ],
 )
 def test_rejects_invalid(kwargs):

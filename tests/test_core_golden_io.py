@@ -1,19 +1,10 @@
 """Golden-chip reference detector and persistence helpers."""
 
-import dataclasses
-import json
-
 import numpy as np
 import pytest
 
-from repro.core.config import DetectorConfig
 from repro.core.golden import GoldenReferenceDetector
-from repro.core.io import (
-    load_detector_config,
-    load_experiment_data,
-    save_detector_config,
-    save_experiment_data,
-)
+from repro.core.io import load_experiment_data, save_experiment_data
 from tests.conftest import small_detector_config
 
 
@@ -64,36 +55,3 @@ class TestExperimentDataIo:
         np.savez(bad, sim_pcms=np.zeros((2, 1)))
         with pytest.raises(ValueError, match="missing arrays"):
             load_experiment_data(bad)
-
-
-class TestConfigIo:
-    def test_round_trip(self, tmp_path):
-        config = DetectorConfig(kde_samples=1234, svm_nu=0.11, seed=99)
-        path = save_detector_config(config, tmp_path / "config.json")
-        assert load_detector_config(path) == config
-
-    def test_unknown_keys_rejected(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text('{"kde_samples": 10, "flux_capacitor": true}')
-        with pytest.raises(ValueError, match="unknown configuration keys"):
-            load_detector_config(path)
-
-    def test_retired_engine_key_dropped(self, tmp_path):
-        # Configs saved before the population-engine, boundary-method and
-        # regression-mode switches were retired carry those keys; each is
-        # dropped while it holds the one value still supported, any other
-        # value is refused, and unknown keys still fail.
-        config = DetectorConfig(kde_samples=1234, seed=99)
-        raw = {**dataclasses.asdict(config), "engine": "batched",
-               "boundary_method": "ocsvm", "regression_mode": "latent_gain"}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
-        assert load_detector_config(path) == config
-        path.write_text(json.dumps({**raw, "flux_capacitor": True}))
-        with pytest.raises(ValueError, match=r"\['flux_capacitor'\]"):
-            load_detector_config(path)
-        for key, value in (("boundary_method", "mahalanobis"),
-                           ("regression_mode", "independent")):
-            path.write_text(json.dumps({**raw, key: value}))
-            with pytest.raises(ValueError, match=f"{key}.*{value}"):
-                load_detector_config(path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.metrics import DetectionMetrics, evaluate_detection
-from repro.core.report import BOUNDARY_TO_DATASET, format_table1, summarize_rates
+from repro.core.report import BOUNDARY_TO_DATASET, format_table1
 
 
 class TestMetrics:
@@ -72,34 +72,3 @@ class TestReport:
 
     def test_boundary_dataset_mapping(self):
         assert BOUNDARY_TO_DATASET["B5"] == "S5"
-
-    def test_summarize_rates(self):
-        rates = summarize_rates(self._metrics())
-        assert rates["B3"]["fn_rate"] == pytest.approx(2 / 40)
-        assert rates["B3"]["fp_rate"] == 0.0
-
-
-class TestMarkdownReport:
-    def _metrics(self):
-        return {
-            name: DetectionMetrics(fp_count=0, fn_count=i, n_infested=80, n_trojan_free=40)
-            for i, name in enumerate(("B1", "B2", "B3", "B4", "B5"))
-        }
-
-    def test_markdown_rows(self):
-        from repro.core.report import format_table1_markdown
-        text = format_table1_markdown(self._metrics())
-        assert text.startswith("| Data set | FP | FN |")
-        assert "| S5 | 0/80 | 4/40 |" in text
-
-    def test_markdown_with_paper_column(self):
-        from repro.core.report import format_table1_markdown
-        text = format_table1_markdown(self._metrics(), paper_fn={"B1": 40, "B5": 3})
-        assert "Paper FN" in text
-        assert "| 3/40 |" in text
-
-    def test_markdown_empty_raises(self):
-        from repro.core.report import format_table1_markdown
-        import pytest
-        with pytest.raises(ValueError):
-            format_table1_markdown({})

@@ -9,8 +9,6 @@ from repro.crypto.aes import (
     INV_SBOX,
     RCON,
     SBOX,
-    aes128_decrypt_block,
-    aes128_encrypt_block,
     expand_key,
     gf_inv,
     gf_mul,
@@ -132,10 +130,6 @@ class TestCipher:
 
     def test_fips_vector_decrypt(self):
         assert AES128(FIPS_KEY).decrypt_block(FIPS_CIPHERTEXT) == FIPS_PLAINTEXT
-
-    def test_one_shot_helpers(self):
-        assert aes128_encrypt_block(FIPS_KEY, FIPS_PLAINTEXT) == FIPS_CIPHERTEXT
-        assert aes128_decrypt_block(FIPS_KEY, FIPS_CIPHERTEXT) == FIPS_PLAINTEXT
 
     def test_rejects_wrong_block_sizes(self):
         cipher = AES128(FIPS_KEY)

@@ -1,16 +1,13 @@
-"""Bit/byte conversion helpers."""
+"""Bit/byte conversion and random block helpers."""
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.bits import (
     BLOCK_BITS,
     BLOCK_BYTES,
-    bits_to_bytes,
     bytes_to_bits,
-    hamming_weight,
     random_block,
     random_key,
 )
@@ -21,34 +18,9 @@ def test_bytes_to_bits_msb_first():
     assert bits.tolist() == [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]
 
 
-def test_bits_to_bytes_known_pattern():
-    assert bits_to_bytes([1, 0, 0, 0, 0, 0, 0, 0]) == b"\x80"
-    assert bits_to_bytes([1] * 8) == b"\xff"
-
-
 @given(st.binary(min_size=0, max_size=64))
 def test_round_trip(data):
-    assert bits_to_bytes(bytes_to_bits(data)) == data
-
-
-def test_bits_to_bytes_rejects_bad_length():
-    with pytest.raises(ValueError):
-        bits_to_bytes([1, 0, 1])
-
-
-def test_bits_to_bytes_rejects_non_binary():
-    with pytest.raises(ValueError):
-        bits_to_bytes([2, 0, 0, 0, 0, 0, 0, 0])
-
-
-def test_bits_to_bytes_rejects_2d():
-    with pytest.raises(ValueError):
-        bits_to_bytes(np.zeros((2, 8)))
-
-
-@given(st.binary(min_size=1, max_size=32))
-def test_hamming_weight_matches_popcount(data):
-    assert hamming_weight(data) == sum(bin(b).count("1") for b in data)
+    assert np.packbits(bytes_to_bits(data)).tobytes() == data
 
 
 def test_random_block_shape_and_determinism():

@@ -10,6 +10,10 @@ with scipy imports refused.  scipy is the optional ``ablations`` extra:
 a further check proves the ablation baselines import it inside the
 functions that compute with it.
 
+The same paths run in one process: the five boundary fits are serial, so
+none of them loads ``multiprocessing`` or ``concurrent.futures`` either
+(importing them costs ~6 ms of start-up).
+
 The same fresh-process check guards the layering of the ablation
 baselines: serving and the detector's own fits never load
 :mod:`repro.experiments.ablations` or :mod:`repro.experiments.baselines`.
@@ -34,6 +38,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 #: Modules only the ablations load.
 ABLATION_ONLY = ("repro.experiments.ablations", "repro.experiments.baselines")
 
+#: Packages that start-up, calibration and serving must never load.
+STARTUP_FORBIDDEN = ("scipy", "multiprocessing", "concurrent.futures")
+
 
 #: Prepended to a fresh-process script: a ``sys.meta_path`` finder that
 #: refuses every ``scipy`` import, as if the extra were not installed.
@@ -47,7 +54,7 @@ BLOCK_SCIPY = (
 )
 
 
-def run_fresh_output(script: str, *args: str, packages=("scipy",)):
+def run_fresh_output(script: str, *args: str, packages=STARTUP_FORBIDDEN):
     """Run ``script`` in a fresh ``python -c``; return its stdout lines
     and the modules it left loaded from ``packages`` (each package itself
     or any of its submodules)."""
@@ -65,7 +72,7 @@ def run_fresh_output(script: str, *args: str, packages=("scipy",)):
     return lines[:-1], set(filter(None, lines[-1].split(",")))
 
 
-def run_fresh(script: str, *args: str, packages=("scipy",)) -> set:
+def run_fresh(script: str, *args: str, packages=STARTUP_FORBIDDEN) -> set:
     """The modules from ``packages`` that ``script`` left loaded."""
     return run_fresh_output(script, *args, packages=packages)[1]
 

@@ -6,6 +6,9 @@ run's wall time, metrics populated, and the ``report`` command rendering
 it all.
 """
 
+import json
+import os
+
 import pytest
 
 from repro.cli import main
@@ -69,10 +72,32 @@ class TestTracedTable1:
         rendered = render_report(obs_manifest.load_manifest(traced_run))
         assert "pipeline.fit_silicon" in rendered
 
+    def test_manifest_with_span_worker_fields_still_renders(self, traced_run,
+                                                            tmp_path, capsys):
+        """Manifests from versions that fitted boundaries in a process pool
+        carry ``"worker": null`` on every span; they load, validate and
+        render as before."""
+        with open(os.path.join(traced_run, "manifest.json"),
+                  encoding="utf-8") as handle:
+            data = json.load(handle)
+        for recorded in data["spans"]:
+            recorded["worker"] = None
+        old_run = tmp_path / "old"
+        old_run.mkdir()
+        (old_run / "manifest.json").write_text(json.dumps(data))
+        manifest = obs_manifest.load_manifest(str(old_run))
+        assert obs_manifest.validate(manifest.to_dict()) == []
+        assert obs_manifest.validate(data) == []
+        assert render_report(manifest) == render_report(
+            obs_manifest.load_manifest(traced_run)
+        )
+        assert main(["report", str(old_run)]) == 0
+        assert "pipeline.fit_silicon" in capsys.readouterr().out
+
 
 class TestBenchSink:
     def test_bench_artifacts_share_sink_format(self, tmp_path):
-        report = {"schema": 1, "units": "seconds", "n_jobs": 1,
+        report = {"schema": 1, "units": "seconds",
                   "results": {"kde_density": 0.012, "ocsvm_fit": 0.034}}
         run_dir = str(tmp_path / "bench-run")
         path = write_run_artifacts(report, run_dir, ["--run-dir", run_dir])

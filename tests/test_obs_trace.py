@@ -1,4 +1,4 @@
-"""Tracing core: nesting, attributes, no-op cost, cross-process collection.
+"""Tracing core: nesting, attributes, no-op cost.
 
 Tracing is session-global module state, so every test here tears the
 session down (the ``obs_session`` fixture) — a leaked enabled tracer would
@@ -6,17 +6,14 @@ silently change the timing profile of unrelated tests.
 """
 
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.obs.trace import span
 from repro.stats.kde import AdaptiveKde
-from repro.utils.parallel import parallel_map
 
 
 @pytest.fixture()
@@ -146,54 +143,3 @@ class TestDisabledTracer:
             f"{crossings} disabled spans cost {overhead * 1e6:.1f} us vs "
             f"KDE fit {fit_seconds * 1e3:.2f} ms"
         )
-
-
-def _traced_square(x):
-    with span("worker.unit", item=x):
-        obs_metrics.counter("work.items").inc()
-        obs_metrics.histogram("work.value").observe(float(x))
-        return x * x
-
-
-class TestPoolCollection:
-    def test_worker_spans_reparent_under_dispatch_span(self, obs_session):
-        with mock.patch("os.cpu_count", return_value=4):
-            with span("dispatch"):
-                out = parallel_map(_traced_square, list(range(8)), n_jobs=4)
-        assert out == [x * x for x in range(8)]
-        spans = trace.finished_spans()
-        by_name = {}
-        for s in spans:
-            by_name.setdefault(s.name, []).append(s)
-        dispatch = by_name["dispatch"][0]
-        workers = by_name["worker.unit"]
-        assert len(workers) == 8
-        assert all(s.parent_id == dispatch.span_id for s in workers)
-        assert all(s.worker is not None for s in workers)
-        # ids were remapped onto the parent counter: all unique.
-        ids = [s.span_id for s in spans]
-        assert len(ids) == len(set(ids))
-
-    def test_worker_metrics_merge(self, obs_session):
-        with mock.patch("os.cpu_count", return_value=4):
-            parallel_map(_traced_square, list(range(6)), n_jobs=4)
-        snapshot = obs_metrics.snapshot()
-        assert snapshot["counters"]["work.items"] == 6.0
-        hist = snapshot["histograms"]["work.value"]
-        assert hist["count"] == 6
-        assert hist["min"] == 0.0
-        assert hist["max"] == 5.0
-
-    def test_serial_path_records_same_tree_shape(self, obs_session):
-        with span("dispatch"):
-            parallel_map(_traced_square, list(range(4)), n_jobs=1)
-        spans = trace.finished_spans()
-        dispatch = next(s for s in spans if s.name == "dispatch")
-        workers = [s for s in spans if s.name == "worker.unit"]
-        assert len(workers) == 4
-        assert all(s.parent_id == dispatch.span_id for s in workers)
-        # in-process spans carry no worker pid
-        assert all(s.worker is None for s in workers)
-
-    def test_disabled_pool_payload_untouched(self):
-        assert trace.wrap_pool_task(_traced_square) is _traced_square

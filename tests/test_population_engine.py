@@ -26,11 +26,7 @@ from repro.experiments.platformcfg import (
     generate_experiment_data,
     rf_model_error,
 )
-from repro.process.parameters import (
-    PARAMETER_NAMES,
-    OperatingPointShift,
-    parameters_at,
-)
+from repro.process.parameters import PARAMETER_NAMES, OperatingPointShift
 from repro.process.population import DiePopulation, structure_seed_sequence
 from repro.rf.channel import AwgnChannel
 from repro.silicon.foundry import Foundry
@@ -39,7 +35,7 @@ from repro.testbed.campaign import FingerprintCampaign
 from repro.trojans.amplitude import AmplitudeModulationTrojan
 from repro.trojans.frequency import FrequencyModulationTrojan
 from tests.conftest import small_platform
-from tests.oracles import measure_population_loop, monte_carlo_loop
+from tests.oracles import measure_population_loop, monte_carlo_loop, parameters_at
 
 VERSION_SWEEP = [
     (None, "TF"),

@@ -10,10 +10,13 @@ must be rejected before it can produce a verdict.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,6 @@ from repro.serve.bundle import (
     BundleIntegrityError,
     export_bundle,
     load_bundle,
-    read_bundle_header,
 )
 from tests.conftest import small_detector_config
 
@@ -39,6 +41,12 @@ def bundle_path(fitted_detector, tmp_path_factory):
     path = tmp_path_factory.mktemp("bundles") / "detector.npz"
     export_bundle(fitted_detector, path)
     return str(path)
+
+
+def _read_header(path):
+    """The JSON header record of a bundle file, undecoded and unchecked."""
+    with np.load(path, allow_pickle=False) as archive:
+        return json.loads(archive[bundle.HEADER_ENTRY].tobytes().decode("utf-8"))
 
 
 def _rewrite_bundle(src, dst, mutate_header=None, mutate_arrays=None):
@@ -87,7 +95,7 @@ def _export_edited(detector, path, monkeypatch, config=None, region_params=None)
 
 class TestExport:
     def test_header_is_self_describing(self, bundle_path, fitted_detector):
-        header = read_bundle_header(bundle_path)
+        header = _read_header(bundle_path)
         assert header["format"] == bundle.BUNDLE_FORMAT
         assert header["schema_version"] == bundle.BUNDLE_SCHEMA_VERSION
         assert len(header["digest"]) == 64
@@ -100,8 +108,9 @@ class TestExport:
     def test_export_returns_matching_info(self, fitted_detector, tmp_path):
         info = export_bundle(fitted_detector, tmp_path / "d.npz", note="t17")
         assert info.schema_version == bundle.BUNDLE_SCHEMA_VERSION
-        assert info.digest == read_bundle_header(info.path)["digest"]
-        assert read_bundle_header(info.path)["extra"] == {"note": "t17"}
+        header = _read_header(info.path)
+        assert info.digest == header["digest"]
+        assert header["extra"] == {"note": "t17"}
 
     def test_unfitted_detector_is_rejected(self, tmp_path):
         with pytest.raises(BundleError, match="unfitted"):
@@ -217,13 +226,16 @@ class TestRoundTrip:
         for name, scores in restored.decision_scores_batch(fingerprints).items():
             assert np.array_equal(scores, expected[name]), name
 
+    @pytest.mark.parametrize("retired", [{"n_monte_carlo": 37}, {"n_jobs": 4}],
+                             ids=["n_monte_carlo", "n_jobs"])
     def test_bundle_with_retired_n_monte_carlo_loads(self, fitted_detector,
                                                      experiment_data, tmp_path,
-                                                     monkeypatch):
+                                                     monkeypatch, retired):
         """Bundles written while the detector config carried the unread
-        ``n_monte_carlo`` field load with any value and score bit for bit."""
+        ``n_monte_carlo`` field or the boundary-fit worker count ``n_jobs``
+        load with any value and score bit for bit."""
         path = _export_edited(fitted_detector, tmp_path / "old.npz",
-                              monkeypatch, config={"n_monte_carlo": 37})
+                              monkeypatch, config=retired)
         restored = load_bundle(path).detector
         assert restored.config == fitted_detector.config
         fingerprints = experiment_data.dutt_fingerprints
@@ -245,7 +257,7 @@ class TestRoundTrip:
 
     def test_loaded_bundle_carries_identity(self, bundle_path):
         loaded = load_bundle(bundle_path)
-        assert loaded.digest == read_bundle_header(bundle_path)["digest"]
+        assert loaded.digest == _read_header(bundle_path)["digest"]
         assert loaded.boundaries == sorted(BOUNDARY_NAMES)
 
 
@@ -257,8 +269,6 @@ class TestRejection:
         )
         with pytest.raises(BundleFormatError, match="schema version 99"):
             load_bundle(bad)
-        with pytest.raises(BundleFormatError, match="schema version 99"):
-            read_bundle_header(bad)
 
     def test_wrong_format_name(self, bundle_path, tmp_path):
         bad = _rewrite_bundle(
@@ -296,11 +306,23 @@ class TestRejection:
             load_bundle(bad)
 
     def test_truncated_file(self, bundle_path, tmp_path):
-        raw = open(bundle_path, "rb").read()
+        raw = Path(bundle_path).read_bytes()
         path = tmp_path / "truncated.npz"
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(BundleFormatError):
             load_bundle(path)
+
+    def test_unreadable_bundle_leaves_no_open_file(self, bundle_path, tmp_path):
+        raw = Path(bundle_path).read_bytes()
+        path = tmp_path / "truncated.npz"
+        path.write_bytes(raw[: len(raw) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(BundleFormatError):
+                load_bundle(path)
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
     def test_unknown_config_key(self, fitted_detector, tmp_path, monkeypatch):
         path = _export_edited(fitted_detector, tmp_path / "unknown.npz",

@@ -5,7 +5,7 @@ import pytest
 
 from repro.circuits.spicemodel import default_spice_deck
 from repro.crypto.aes import AES128
-from repro.crypto.bits import hamming_weight, random_key
+from repro.crypto.bits import bytes_to_bits, random_key
 from repro.process.parameters import nominal_350nm
 from repro.silicon.foundry import Foundry
 from repro.silicon.pcm import PCMSuite
@@ -62,7 +62,7 @@ class TestChip:
         chip = WirelessCryptoChip(die=_StubDie(), key=key)
         plaintext = b"\x11" * 16
         train = chip.transmit_plaintext(plaintext)
-        assert len(train) == hamming_weight(chip.encrypt(plaintext))
+        assert len(train) == int(bytes_to_bits(chip.encrypt(plaintext)).sum())
 
     def test_is_infested(self):
         key = random_key(rng=0)
