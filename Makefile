@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-baseline bench-cold bench-serve bench-scaling perfbench cache-stats table1 smoke-obs smoke-serve examples
+.PHONY: test bench bench-baseline bench-serve bench-scaling perfbench table1 smoke-obs smoke-serve examples
 
 test:
 	$(PYTHON) -m pytest -q
@@ -46,11 +46,6 @@ bench-scaling:
 bench-baseline:
 	$(PYTHON) benchmarks/bench_report.py --output benchmarks/BENCH_components.json
 
-# Same gate with the artifact cache forced off: times the real compute
-# paths even when a warm .repro-cache is sitting in the working tree.
-bench-cold:
-	REPRO_CACHE=0 $(PYTHON) benchmarks/bench_report.py --compare benchmarks/BENCH_components.json
-
 # The repo benchmark (BENCHMARK.json): one workload end to end, then its
 # JSON result line.  Workloads: calibrate, screen-line, screen-lot;
 # TRACE=1 reports the per-layer metrics instead.
@@ -60,10 +55,6 @@ RUN_SECONDS ?= 30
 TRACE ?= 0
 perfbench:
 	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds $(RUN_SECONDS) --trace $(TRACE)
-
-# On-disk inventory of the artifact cache (root, cap, entries per stage).
-cache-stats:
-	$(PYTHON) -m repro.cli cache stats
 
 table1:
 	$(PYTHON) -m repro.cli table1

@@ -101,8 +101,8 @@ def build_cases() -> Dict[str, Callable[[], object]]:
         + 0.1 * rng.standard_normal(400)
     )
     forward_model = MarsRegression(max_terms=21)
-    # The serve case times scoring only, so the fit (identical stages to the
-    # table1 case, served warm by the artifact cache when enabled) is setup.
+    # The serve case times scoring only, so the fit (the same stages as the
+    # table1 case) is setup.
     serve_detector = GoldenChipFreeDetector(bench_detector)
     serve_detector.fit_premanufacturing(data.sim_pcms, data.sim_fingerprints)
     serve_detector.fit_silicon(data.dutt_pcms)

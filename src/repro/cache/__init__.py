@@ -1,137 +1,25 @@
-"""``repro.cache`` — content-addressed compute cache for pipeline stages.
+"""``repro.cache`` — the model codec that detector bundles are built on.
 
-The experiment suite re-runs the same expensive stages constantly: every
-entry point re-simulates the Monte Carlo population, and an ablation sweep
-refits regressions and boundaries that only one arm actually varies.  This
-package makes those stages incremental: each one is keyed by a stable hash
-of its semantic inputs (canonical config + seed + stage name + code-version
-salt) and its artifact — simulated populations, fitted MARS / OCSVM / KMM
-models, derived datasets S1..S5 — is stored as a versioned npz/JSON blob.
-Cached and fresh runs are bit-identical by construction: only values that
-are fully determined by the key are ever cached, and every stochastic stage
-of the pipeline owns an independent seed stream, so skipping one never
-perturbs another.
+:mod:`repro.cache.codec` turns a value tree holding arrays and registered
+model classes into one JSON skeleton plus named arrays, and back;
+:mod:`repro.cache.models` registers the library's fitted models with it.
 
-The cache is **off by default**.  Enable it per process with
-:func:`configure`, per invocation with the CLI's ``--cache`` flag, or
-globally with ``REPRO_CACHE=1`` (root: ``REPRO_CACHE_DIR``, default
-``.repro-cache``; cap: ``REPRO_CACHE_MAX_BYTES``).  Library call sites go
-through :func:`stage_cached`, which is a plain pass-through whenever the
-cache is disabled.
+The package once also held an on-disk artifact cache for pipeline stages.
+It is retired: every stage computes.  The two functions below are what is
+left of its switch, and ``perfbench/harness.py`` is their only caller.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Any, Callable, Optional
-
-from repro.cache.core import DEFAULT_MAX_BYTES, MISS, ArtifactCache
-from repro.cache.keys import (
-    CACHE_SCHEMA_VERSION,
-    CacheKeyError,
-    canonicalize,
-    digest_array,
-    make_key,
-)
-from repro.cache.codec import CacheCodecError, register
-
-__all__ = [
-    "ArtifactCache",
-    "CACHE_SCHEMA_VERSION",
-    "CacheCodecError",
-    "CacheKeyError",
-    "DEFAULT_MAX_BYTES",
-    "MISS",
-    "activated",
-    "canonicalize",
-    "configure",
-    "default_root",
-    "digest_array",
-    "get_cache",
-    "is_enabled",
-    "make_key",
-    "provenance",
-    "register",
-    "stage_cached",
-]
-
-_active: Optional[ArtifactCache] = None
-_env_resolved = False
+__all__ = ["configure", "is_enabled"]
 
 
-def default_root() -> str:
-    """The cache directory honoring ``REPRO_CACHE_DIR``."""
-    return os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
-
-
-def _default_max_bytes() -> int:
-    raw = os.environ.get("REPRO_CACHE_MAX_BYTES")
-    return int(raw) if raw else DEFAULT_MAX_BYTES
-
-
-def _resolve_from_env() -> None:
-    """Honor ``REPRO_CACHE=1`` on first use (explicit configure() wins)."""
-    global _active, _env_resolved
-    if _env_resolved:
-        return
-    _env_resolved = True
-    if os.environ.get("REPRO_CACHE", "").lower() in ("1", "true", "yes", "on"):
-        _active = ArtifactCache(default_root(), max_bytes=_default_max_bytes())
-
-
-def configure(
-    enabled: bool = True,
-    root: Optional[str] = None,
-    max_bytes: Optional[int] = None,
-) -> Optional[ArtifactCache]:
-    """Install (or remove) the process-wide cache; returns the active one."""
-    global _active, _env_resolved
-    _env_resolved = True
-    if not enabled:
-        _active = None
-        return None
-    _active = ArtifactCache(
-        root or default_root(),
-        max_bytes=max_bytes if max_bytes is not None else _default_max_bytes(),
-    )
-    return _active
-
-
-def get_cache() -> Optional[ArtifactCache]:
-    """The process-wide cache, or ``None`` when caching is off."""
-    _resolve_from_env()
-    return _active
+def configure(enabled: bool) -> None:
+    """Accept ``enabled=False``, a no-op; there is no cache to switch on."""
+    if enabled:
+        raise ValueError("the artifact cache is retired; every stage computes")
 
 
 def is_enabled() -> bool:
-    """Whether a process-wide cache is active."""
-    cache = get_cache()
-    return cache is not None and cache.enabled
-
-
-@contextmanager
-def activated(cache: Optional[ArtifactCache]):
-    """Temporarily install ``cache`` as the process-wide cache (tests)."""
-    global _active, _env_resolved
-    previous, previous_resolved = _active, _env_resolved
-    _active, _env_resolved = cache, True
-    try:
-        yield cache
-    finally:
-        _active, _env_resolved = previous, previous_resolved
-
-
-def stage_cached(stage: str, parts: Any, compute: Callable[[], Any],
-                 version: int = 1) -> Any:
-    """Run ``compute`` through the active cache (pass-through when off)."""
-    cache = get_cache()
-    if cache is None:
-        return compute()
-    return cache.get_or_compute(stage, parts, compute, version=version)
-
-
-def provenance() -> Optional[dict]:
-    """Manifest-ready record of this process's cache usage (``None`` = off)."""
-    cache = get_cache()
-    return None if cache is None else cache.provenance()
+    """Always ``False``: there is no artifact cache."""
+    return False

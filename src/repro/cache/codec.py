@@ -1,32 +1,29 @@
-"""Value codec: Python object trees <-> one versioned npz payload.
+"""Value codec: Python object trees <-> a JSON skeleton plus named arrays.
 
-A cache entry is a single ``.npz`` file holding every array of the cached
-value under ``a0, a1, ...`` plus one ``__meta__`` byte array: the JSON
-skeleton of the value with arrays replaced by ``{"__nd__": i}`` markers.
-One file per entry keeps writes atomic (write-temp + ``os.replace``) and
-eviction trivial.
+:func:`encode` turns a value into the JSON skeleton of the value, with
+every array replaced by an ``{"__nd__": i}`` marker, and the arrays
+themselves under ``a0, a1, ...``; :func:`decode` inverts it.  Detector
+bundles (:mod:`repro.serve.bundle`) store both in one ``.npz`` file.
 
 Supported values: ``None``, ``bool``, ``int``, ``float``, ``str``, lists,
 tuples, string-keyed dicts, numpy arrays/scalars, and **registered model
 classes** — any class exposing ``to_state() -> dict`` and a
 ``from_state(state)`` classmethod can be registered under a stable tag and
-then cached like a plain value (the fitted MARS regressions and trusted
-regions use this).  Registration of the library's models is deferred to
-:mod:`repro.cache.models` so importing the codec never drags in the learn
-stack.
+then encoded like a plain value (the fitted MARS regressions, trusted
+regions and the whole detector use this).  Registration of the library's
+models is deferred to :mod:`repro.cache.models` so importing the codec
+never drags in the learn stack.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Tuple, Type
+from typing import Any, Dict, List, Tuple, Type
 
 import numpy as np
 
-#: Payload format version, stored in every entry; readers reject mismatches.
+#: Payload format version, stored in every payload; readers reject mismatches.
 PAYLOAD_VERSION = 1
-
-META_ENTRY = "__meta__"
 
 
 class CacheCodecError(TypeError):
@@ -43,8 +40,7 @@ def register(tag: str, cls: Type) -> None:
 
     The class must provide ``to_state()`` returning a codec-encodable dict
     and a ``from_state(state)`` classmethod inverting it.  Tags are part of
-    the on-disk format: renaming one invalidates existing entries (they
-    fail to decode and are treated as corrupt, i.e. recomputed).
+    the bundle format: renaming one makes existing bundles fail to decode.
     """
     if not hasattr(cls, "to_state") or not hasattr(cls, "from_state"):
         raise CacheCodecError(f"{cls.__name__} lacks to_state/from_state")
@@ -86,7 +82,7 @@ def _encode_node(value: Any, arrays: List[np.ndarray]) -> Any:
     if tag is not None:
         return {"__obj__": tag, "state": _encode_node(value.to_state(), arrays)}
     raise CacheCodecError(
-        f"cannot cache values of type {type(value).__name__!r}; register a "
+        f"cannot encode values of type {type(value).__name__!r}; register a "
         "to_state/from_state codec for it in repro.cache.models"
     )
 
@@ -129,45 +125,3 @@ def decode(meta: bytes, arrays: Dict[str, np.ndarray]) -> Any:
             f"payload version {parsed.get('payload_version')!r} not supported"
         )
     return _decode_node(parsed["value"], arrays)
-
-
-def dump_npz(handle, value: Any, stage: str) -> int:
-    """Serialize ``value`` into an open binary file as npz; returns byte size.
-
-    The stage name rides along in the metadata so ``cache stats`` can
-    attribute disk usage without a separate index file.
-    """
-    meta, arrays = encode(value)
-    header = json.dumps({"stage": stage}).encode("utf-8")
-    np.savez(
-        handle,
-        **{
-            META_ENTRY: np.frombuffer(meta, dtype=np.uint8),
-            "__stage__": np.frombuffer(header, dtype=np.uint8),
-            **arrays,
-        },
-    )
-    return handle.tell()
-
-
-def load_npz(path) -> Tuple[Any, str]:
-    """Load one entry file; returns (value, stage).
-
-    Raises ``CacheCodecError`` (or numpy/zipfile errors) on corruption —
-    the store maps any failure to a cache miss plus entry removal.
-    """
-    with np.load(path, allow_pickle=False) as archive:
-        if META_ENTRY not in archive.files:
-            raise CacheCodecError("entry has no metadata record")
-        meta = archive[META_ENTRY].tobytes()
-        stage = "unknown"
-        if "__stage__" in archive.files:
-            try:
-                stage = json.loads(archive["__stage__"].tobytes()).get("stage", stage)
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                pass
-        arrays = {
-            name: archive[name] for name in archive.files
-            if name not in (META_ENTRY, "__stage__")
-        }
-        return decode(meta, arrays), stage

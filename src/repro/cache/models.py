@@ -1,9 +1,9 @@
-"""Codec registrations for the library's cacheable model classes.
+"""Codec registrations for the library's model classes.
 
 Imported lazily by :mod:`repro.cache.codec` the first time a non-primitive
-value is (de)serialized, so the cache package itself never drags in the
-learn stack.  Tags are part of the on-disk entry format — renaming one
-orphans existing entries (they decode as corrupt and get recomputed).
+value is (de)serialized, so the codec itself never drags in the learn
+stack.  Tags are part of the bundle format — renaming one makes existing
+bundles fail to decode.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ from repro.learn.ocsvm import OneClassSvm
 from repro.stats.preprocessing import Whitener
 
 register("mars", MarsRegression)
-# Ablation A5 injects the per-output regression; its fits reach the cache.
+# Ablation A5 injects the per-output regression.
 register("mars_multi", MultiOutputMars)
 register("latent_gain_mars", LatentGainMars)
 register("ocsvm", OneClassSvm)
 register("whitener", Whitener)
 register("trusted_region", TrustedRegion)
 # The whole fitted detector is itself codec-encodable: detector bundles
-# (repro.serve.bundle) serialize it as one value through the same machinery
-# the stage cache uses for its parts.
+# (repro.serve.bundle) serialize it as one value.
 register("detector", GoldenChipFreeDetector)

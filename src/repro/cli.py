@@ -9,17 +9,14 @@ generate      synthesize an experiment and save it to .npz
 ablation      run one of the ablation studies (A1/A2/A5/A7; A5 and A7a
               inject their alternative models, no config field selects them)
 report        pretty-print the manifest of a traced run
-cache         inspect (``stats``) or empty (``clear``) the artifact cache
 export-bundle fit a detector and export it as a ``repro-bundle-v1`` file
 serve         serve a detector bundle over the HTTP screening API
 score         screen devices against a bundle (local) or a server (--url)
 
 Every experiment command accepts ``--trace`` (record spans + metrics and
 write ``<run-dir>/manifest.json``), ``--run-dir``
-(defaults to ``runs/<run-id>``), ``--log-level``, and ``--cache`` /
-``--no-cache`` (enable or disable the content-addressed artifact cache for
-this invocation, overriding the ``REPRO_CACHE`` environment variable;
-cached and fresh runs are bit-identical).
+(defaults to ``runs/<run-id>``) and ``--log-level``.  Every command
+computes each stage it needs; nothing is cached between runs.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ import time
 from typing import List, Optional
 
 from repro import obs
-from repro import cache as artifact_cache
 from repro.core.config import DetectorConfig
 from repro.core.io import load_experiment_data, save_experiment_data
 from repro.core.pipeline import GoldenChipFreeDetector
@@ -75,17 +71,6 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
         "--log-level", type=str, default="warning",
         choices=["debug", "info", "warning", "error"],
         help="logging verbosity of the repro.* loggers",
-    )
-    cache_switch = parser.add_mutually_exclusive_group()
-    cache_switch.add_argument(
-        "--cache", action="store_true", dest="cache",
-        help="serve expensive stages from the content-addressed artifact "
-             "cache (REPRO_CACHE_DIR, default .repro-cache); results are "
-             "bit-identical to an uncached run",
-    )
-    cache_switch.add_argument(
-        "--no-cache", action="store_true", dest="no_cache",
-        help="force the artifact cache off, overriding REPRO_CACHE=1",
     )
 
 
@@ -277,34 +262,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _format_bytes(count: int) -> str:
-    value = float(count)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if value < 1024 or unit == "GiB":
-            return f"{value:.1f} {unit}" if unit != "B" else f"{int(value)} B"
-        value /= 1024
-    return f"{int(count)} B"  # pragma: no cover - loop always returns
-
-
-def _cmd_cache(args) -> int:
-    cache = artifact_cache.get_cache() or artifact_cache.ArtifactCache(
-        artifact_cache.default_root()
-    )
-    if args.action == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} entries from {cache.root}")
-        return 0
-    stats = cache.disk_stats()
-    print(f"cache root: {stats['root']}")
-    print(f"size cap:   {_format_bytes(stats['max_bytes'])}")
-    print(f"entries:    {stats['entries']} ({_format_bytes(stats['bytes'])})")
-    for stage, record in stats["stages"].items():
-        print(f"  {stage:12s} {record['entries']:4d} entries  "
-              f"{_format_bytes(record['bytes'])}")
-    args._results = stats
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
@@ -341,12 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run id under runs/, a run directory, or a manifest.json path",
     )
     report.set_defaults(handler=_cmd_report)
-
-    cache = commands.add_parser(
-        "cache", help="inspect or clear the content-addressed artifact cache"
-    )
-    cache.add_argument("action", choices=["stats", "clear"])
-    cache.set_defaults(handler=_cmd_cache)
 
     export_bundle = commands.add_parser(
         "export-bundle",
@@ -400,14 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_cache_flags(args) -> None:
-    """Resolve --cache/--no-cache before any handler runs (flags beat env)."""
-    if getattr(args, "no_cache", False):
-        artifact_cache.configure(enabled=False)
-    elif getattr(args, "cache", False):
-        artifact_cache.configure(enabled=True)
-
-
 def _run_config(args) -> dict:
     """The JSON-ready configuration recorded in the manifest."""
     skip = {"handler", "command", "trace", "run_dir", "log_level"}
@@ -454,7 +397,6 @@ def _run_traced(args, argv: List[str]) -> int:
         metrics=snapshot,
         spans=[entry.to_dict() for entry in spans],
         results=getattr(args, "_results", None),
-        cache=artifact_cache.provenance(),
         serve=getattr(args, "_serve", None),
     )
     path = write_manifest(manifest, run_dir)
@@ -468,7 +410,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     obs.setup_logging(getattr(args, "log_level", "warning"))
-    _apply_cache_flags(args)
     try:
         if getattr(args, "trace", False):
             return _run_traced(args, argv)

@@ -22,8 +22,6 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro import cache as artifact_cache
-from repro.cache import digest_array
 from repro.core.boundaries import TrustedRegion, trojan_free
 from repro.core.config import DetectorConfig, drop_retired_keys
 from repro.core.datasets import (
@@ -76,64 +74,8 @@ class GoldenChipFreeDetector:
         # SeedSequence spawning is prefix-stable, so the first three streams
         # match the historical 4-child layout; each boundary owns its own
         # stream, so its fit does not depend on which other boundaries are
-        # fitted before it.  The same independence lets the artifact cache
-        # serve any one stage warm without perturbing what the remaining
-        # cold stages compute.
+        # fitted before it.
         self._rngs = spawn_children(self.config.seed, 3 + len(BOUNDARY_NAMES))
-
-    # ------------------------------------------------------------------
-    # artifact-cache plumbing
-    # ------------------------------------------------------------------
-
-    #: DetectorConfig fields each cacheable stage depends on; ``seed`` is
-    #: appended automatically for stochastic stages.  The regression class
-    #: joins the regression-dependent parts by name (see
-    #: :meth:`_regression_parts`).
-    _STAGE_FIELDS = {
-        "regressions": ("mars_max_terms", "mars_max_degree", "mars_penalty"),
-        "kde_tail": ("kde_samples", "kde_alpha", "kde_bandwidth",
-                     "kde_bandwidth_scale", "floor_ratio"),
-        "kmm_shift": ("kmm_B", "kmm_eps", "kmm_gamma", "kmm_resample_size"),
-        "boundary": ("svm_nu", "svm_gamma", "floor_ratio", "noise_floor_rel",
-                     "svm_max_training_samples"),
-    }
-
-    #: Code-version salt of each cacheable stage (see
-    #: :func:`repro.cache.make_key`).  Bump a stage's entry whenever its
-    #: algorithm changes what it produces for identical inputs, so entries
-    #: written by older code become misses instead of being served.
-    #: kmm_shift 2: active-set KMM solver; kmm_shift 3: its free block
-    #: solved by LU instead of Cholesky; boundary 2: on-demand-row
-    #: second-order SMO.
-    _STAGE_VERSIONS = {
-        "regressions": 1,
-        "kde_tail": 1,
-        "kmm_shift": 3,
-        "boundary": 2,
-    }
-
-    def _stage_parts(self, stage: str, **extra) -> dict:
-        parts = {name: getattr(self.config, name)
-                 for name in self._STAGE_FIELDS[stage]}
-        parts.update(extra)
-        return parts
-
-    def _regression_parts(self, **extra) -> dict:
-        model = f"{self.regression.__module__}.{self.regression.__qualname__}"
-        return self._stage_parts("regressions", model=model, **extra)
-
-    def _cached(self, stage, parts, compute, stochastic=True):
-        """Route one stage through the artifact cache.
-
-        Stochastic stages consume a child stream of the master seed; with no
-        seed their output is not addressable, so they always recompute.
-        """
-        if stochastic:
-            if self.config.seed is None:
-                return compute()
-            parts = {**parts, "seed": self.config.seed}
-        return artifact_cache.stage_cached(stage, parts, compute,
-                                           version=self._STAGE_VERSIONS[stage])
 
     # ------------------------------------------------------------------
     # stage 1: pre-manufacturing
@@ -148,29 +90,14 @@ class GoldenChipFreeDetector:
             self.n_pcm_features_ = int(sim_pcms.shape[1])
             self.n_fingerprint_features_ = int(sim_fingerprints.shape[1])
             with span("regression.train", model=self.regression.__name__):
-                self.regressions_ = self._cached(
-                    "regressions",
-                    self._regression_parts(
-                        pcms=digest_array(sim_pcms),
-                        fingerprints=digest_array(sim_fingerprints),
-                    ),
-                    lambda: train_regressions(
-                        sim_pcms, sim_fingerprints, self.config, self.regression
-                    ),
-                    stochastic=False,
+                self.regressions_ = train_regressions(
+                    sim_pcms, sim_fingerprints, self.config, self.regression
                 )
 
             self.datasets.sets["S1"] = build_s1(sim_fingerprints)
             with span("dataset.build", dataset="S2"):
-                self.datasets.sets["S2"] = self._cached(
-                    "kde_tail",
-                    self._stage_parts(
-                        "kde_tail", dataset="S2",
-                        population=digest_array(self.datasets["S1"]),
-                    ),
-                    lambda: tail_enhance(
-                        self.datasets["S1"], self.config, rng=self._rngs[0]
-                    ),
+                self.datasets.sets["S2"] = tail_enhance(
+                    self.datasets["S1"], self.config, rng=self._rngs[0]
                 )
             self._fit_boundaries({"B1": "S1", "B2": "S2"})
         return self
@@ -199,34 +126,13 @@ class GoldenChipFreeDetector:
             with span("dataset.build", dataset="S3"):
                 self.datasets.sets["S3"] = build_s3(self.regressions_, dutt_pcms)
             with span("dataset.build", dataset="S4"):
-                # S4 depends on the fitted regressions; their inputs (the
-                # simulated PCMs/fingerprints and the regression fields)
-                # stand in for them in the key.
-                self.datasets.sets["S4"] = self._cached(
-                    "kmm_shift",
-                    self._stage_parts(
-                        "kmm_shift",
-                        regression=self._regression_parts(
-                            fingerprints=digest_array(self.datasets["S1"]),
-                        ),
-                        sim_pcms=digest_array(self._sim_pcms),
-                        dutt_pcms=digest_array(dutt_pcms),
-                    ),
-                    lambda: build_s4(
-                        self.regressions_, self._sim_pcms, dutt_pcms,
-                        self.config, rng=self._rngs[1],
-                    ),
+                self.datasets.sets["S4"] = build_s4(
+                    self.regressions_, self._sim_pcms, dutt_pcms,
+                    self.config, rng=self._rngs[1],
                 )
             with span("dataset.build", dataset="S5"):
-                self.datasets.sets["S5"] = self._cached(
-                    "kde_tail",
-                    self._stage_parts(
-                        "kde_tail", dataset="S5",
-                        population=digest_array(self.datasets["S4"]),
-                    ),
-                    lambda: tail_enhance(
-                        self.datasets["S4"], self.config, rng=self._rngs[2]
-                    ),
+                self.datasets.sets["S5"] = tail_enhance(
+                    self.datasets["S4"], self.config, rng=self._rngs[2]
                 )
             self._fit_boundaries({"B3": "S3", "B4": "S4", "B5": "S5"})
         return self
@@ -242,46 +148,17 @@ class GoldenChipFreeDetector:
             seed=self._rngs[3 + BOUNDARY_NAMES.index(name)],
         )
 
-    def _boundary_key_parts(self, name: str, dataset: str) -> dict:
-        # The boundary's subsampling stream is a child of the master seed
-        # indexed by the boundary name, so (seed, name) pins it exactly.
-        return self._stage_parts(
-            "boundary", boundary=name,
-            population=digest_array(self.datasets[dataset]),
-        )
-
     def _fit_boundaries(self, mapping: Dict[str, str]) -> None:
         """Fit the boundaries of ``mapping`` one after another, in order.
 
-        Each boundary consumes only its own child generator, so a cached
-        boundary can be served without touching the streams of the ones
-        that still need fitting.
+        Each boundary consumes only its own child generator, so its fit
+        does not depend on which other boundaries are fitted before it.
         """
-        cache = artifact_cache.get_cache()
-        use_cache = cache is not None and self.config.seed is not None
-        pending = dict(mapping)
-        keys = {}
-        if use_cache:
+        regions = {name: self._new_region(name) for name in mapping}
+        with span("pipeline.fit_boundaries", boundaries=",".join(mapping)):
             for name, dataset in mapping.items():
-                keys[name] = artifact_cache.make_key(
-                    "boundary", {**self._boundary_key_parts(name, dataset),
-                                 "seed": self.config.seed},
-                    version=self._STAGE_VERSIONS["boundary"],
-                )
-                region = cache.load("boundary", keys[name])
-                if region is not artifact_cache.MISS:
-                    self.boundaries[name] = region
-                    del pending[name]
-        if not pending:
-            return
-        regions = {name: self._new_region(name) for name in pending}
-        with span("pipeline.fit_boundaries", boundaries=",".join(pending)):
-            for name, dataset in pending.items():
                 regions[name].fit(self.datasets[dataset])
-        for name, region in regions.items():
-            self.boundaries[name] = region
-            if use_cache:
-                cache.store("boundary", keys[name], region)
+        self.boundaries.update(regions)
 
     # ------------------------------------------------------------------
     # stage 3: trojan test

@@ -19,7 +19,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro import cache as artifact_cache
 from repro.circuits.montecarlo import MonteCarloEngine
 from repro.circuits.spicemodel import SpiceDeck, default_spice_deck
 from repro.obs.trace import span
@@ -169,19 +168,11 @@ def build_foundry(config: PlatformConfig, deck: SpiceDeck, seed) -> Foundry:
 def generate_experiment_data(config: Optional[PlatformConfig] = None) -> ExperimentData:
     """Run the full synthetic experiment and return all measurements.
 
-    Both expensive halves — the Monte Carlo sweep and the silicon DUTT
-    measurement — go through the artifact cache (see :mod:`repro.cache`;
-    off by default).  Every random stream below is an independent child of
-    the master seed, so serving one half from cache leaves the other half's
-    stream — and therefore its output — bit-identical to a cold run.
+    Every random stream below is an independent child of the master seed:
+    the campaign stimuli, the Monte Carlo draw, the foundry lot and the
+    bench each own one.
     """
     config = config or PlatformConfig()
-
-    def stage(name, parts, compute):
-        # An unseeded run is not reproducible, hence not addressable: bypass.
-        if config.seed is None:
-            return compute()
-        return artifact_cache.stage_cached(name, parts, compute)
 
     with span("platform.generate_data", n_chips=config.n_chips,
               n_monte_carlo=config.n_monte_carlo, seed=config.seed):
@@ -194,9 +185,7 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
         }[config.pcm_suite_name]()
         deck = build_deck(config)
 
-        # The campaign is cheap and its stimuli feed both halves, so it is
-        # always built live (keeping rng_campaign consumption identical on
-        # warm and cold paths).
+        # The campaign's stimuli feed both halves.
         sim_campaign = FingerprintCampaign.random_stimuli(
             nm=config.nm, seed=rng_campaign, pcm_suite=pcm_suite
         )
@@ -205,76 +194,37 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
         # has no bench instruments, but post-layout MC output carries
         # numerical / extraction jitter; modelled as small multiplicative
         # noise. ----
-        def run_monte_carlo() -> dict:
-            engine = MonteCarloEngine(
-                deck, sim_campaign, numerical_noise=config.sim_noise
-            )
-            mc = engine.run(config.n_monte_carlo, seed=rng_mc)
-            return {"pcms": mc.pcms, "fingerprints": mc.fingerprints}
-
-        mc_data = stage(
-            "mc",
-            {
-                "nm": config.nm,
-                "n_monte_carlo": config.n_monte_carlo,
-                "sim_noise": config.sim_noise,
-                "pcm_suite": config.pcm_suite_name,
-                "seed": config.seed,
-            },
-            run_monte_carlo,
+        engine = MonteCarloEngine(
+            deck, sim_campaign, numerical_noise=config.sim_noise
         )
+        mc = engine.run(config.n_monte_carlo, seed=rng_mc)
 
         # ---- silicon: fabrication at the drifted operating point, then the
         # bench sweep with the same frozen stimuli and noisy instruments ----
         bench = sim_campaign.silicon_bench(seed=rng_bench, pcm_noise=config.pcm_noise)
 
-        def run_silicon() -> dict:
-            foundry = build_foundry(config, deck, seed=rng_foundry)
-            # One population for the three versions: they are the same
-            # dies, so the per-structure mismatch draws are made once.
-            population = DiePopulation.from_dies(
-                foundry.fabricate(config.n_chips, n_lots=config.n_lots)
-            )
-            trojans = [
-                (None, "TF"),
-                (AmplitudeModulationTrojan(depth=config.trojan1_depth), "T1"),
-                (FrequencyModulationTrojan(depth=config.trojan2_depth), "T2"),
-            ]
-            devices = []
-            for trojan, version in trojans:
-                devices.extend(
-                    bench.measure_population(population, trojan=trojan, version=version)
-                )
-            return {
-                "pcms": np.vstack([d.pcms for d in devices]),
-                "fingerprints": np.vstack([d.fingerprint for d in devices]),
-                "infested": np.array([d.infested for d in devices], dtype=bool),
-                "trojan_names": [d.trojan_name for d in devices],
-            }
-
-        dutt = stage(
-            "dutt",
-            {
-                "nm": config.nm,
-                "n_chips": config.n_chips,
-                "drift_scale": config.drift_scale,
-                "rf_model_error_scale": config.rf_model_error_scale,
-                "trojan1_depth": config.trojan1_depth,
-                "trojan2_depth": config.trojan2_depth,
-                "pcm_noise": config.pcm_noise,
-                "pcm_suite": config.pcm_suite_name,
-                "n_lots": config.n_lots,
-                "seed": config.seed,
-            },
-            run_silicon,
+        foundry = build_foundry(config, deck, seed=rng_foundry)
+        # One population for the three versions: they are the same
+        # dies, so the per-structure mismatch draws are made once.
+        population = DiePopulation.from_dies(
+            foundry.fabricate(config.n_chips, n_lots=config.n_lots)
         )
-
-    return ExperimentData(
-        sim_pcms=mc_data["pcms"],
-        sim_fingerprints=mc_data["fingerprints"],
-        dutt_pcms=dutt["pcms"],
-        dutt_fingerprints=dutt["fingerprints"],
-        infested=dutt["infested"],
-        trojan_names=list(dutt["trojan_names"]),
-        campaign=bench,
-    )
+        trojans = [
+            (None, "TF"),
+            (AmplitudeModulationTrojan(depth=config.trojan1_depth), "T1"),
+            (FrequencyModulationTrojan(depth=config.trojan2_depth), "T2"),
+        ]
+        devices = []
+        for trojan, version in trojans:
+            devices.extend(
+                bench.measure_population(population, trojan=trojan, version=version)
+            )
+        return ExperimentData(
+            sim_pcms=mc.pcms,
+            sim_fingerprints=mc.fingerprints,
+            dutt_pcms=np.vstack([d.pcms for d in devices]),
+            dutt_fingerprints=np.vstack([d.fingerprint for d in devices]),
+            infested=np.array([d.infested for d in devices], dtype=bool),
+            trojan_names=[d.trojan_name for d in devices],
+            campaign=bench,
+        )

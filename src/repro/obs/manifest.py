@@ -104,7 +104,6 @@ class RunManifest:
     metrics: dict = field(default_factory=dict)
     spans: List[dict] = field(default_factory=list)
     results: Optional[dict] = None
-    cache: Optional[dict] = None
     serve: Optional[dict] = None
     schema_version: int = MANIFEST_SCHEMA_VERSION
 
@@ -123,7 +122,6 @@ class RunManifest:
             "metrics": self.metrics,
             "spans": list(self.spans),
             "results": self.results,
-            "cache": self.cache,
             "serve": self.serve,
         }
 
@@ -142,7 +140,6 @@ class RunManifest:
             metrics=dict(data.get("metrics", {})),
             spans=list(data.get("spans", [])),
             results=data.get("results"),
-            cache=data.get("cache"),
             serve=data.get("serve"),
             schema_version=int(data.get("schema_version", MANIFEST_SCHEMA_VERSION)),
         )

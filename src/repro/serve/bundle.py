@@ -4,9 +4,9 @@ A bundle is one ``.npz`` file holding a fitted
 :class:`~repro.core.pipeline.GoldenChipFreeDetector` — whiteners, every
 trained boundary B1..B5, the PCM regressions, the detector config and seed —
 plus a JSON header with schema version and provenance (creation time, git
-revision, interpreter/numpy versions).  The payload reuses the
-:mod:`repro.cache.codec` ``to_state``/``from_state`` machinery, so a bundle
-is exactly the stage cache's entry format with a provenance header on top:
+revision, interpreter/numpy versions).  The payload is the
+:mod:`repro.cache.codec` encoding of the detector (its
+``to_state``/``from_state`` machinery) with a provenance header on top:
 
 * ``__bundle__`` — the JSON header (format name, schema version, payload
   digest, provenance, a summary of what is inside);
@@ -44,7 +44,7 @@ BUNDLE_SCHEMA_VERSION = 1
 
 #: npz entry names of the header and the codec skeleton.
 HEADER_ENTRY = "__bundle__"
-META_ENTRY = codec.META_ENTRY
+META_ENTRY = "__meta__"
 
 
 class BundleError(Exception):

@@ -94,6 +94,38 @@ class TestTracedTable1:
         assert main(["report", str(old_run)]) == 0
         assert "pipeline.fit_silicon" in capsys.readouterr().out
 
+    def test_manifest_with_cache_block_still_renders(self, traced_run,
+                                                     tmp_path, capsys):
+        """Manifests from versions with the artifact cache carry a filled
+        ``cache`` block and ``cache``/``no_cache`` config keys; they load,
+        validate and render as before."""
+        with open(os.path.join(traced_run, "manifest.json"),
+                  encoding="utf-8") as handle:
+            data = json.load(handle)
+        data["config"].update(cache=True, no_cache=False)
+        data["cache"] = {
+            "enabled": True,
+            "root": ".repro-cache",
+            "max_bytes": 2 * 1024 ** 3,
+            "session": {
+                "hits": 3, "misses": 7, "bytes_read": 4096,
+                "bytes_written": 65536, "evictions": 0, "corrupt_entries": 0,
+                "stages": {"mc": {"hits": 1, "misses": 0, "stores": 0},
+                           "boundary": {"hits": 0, "misses": 5, "stores": 5}},
+            },
+        }
+        old_run = tmp_path / "old"
+        old_run.mkdir()
+        (old_run / "manifest.json").write_text(json.dumps(data))
+        assert obs_manifest.validate(data) == []
+        manifest = obs_manifest.load_manifest(str(old_run))
+        assert obs_manifest.validate(manifest.to_dict()) == []
+        assert render_report(manifest) == render_report(
+            obs_manifest.load_manifest(traced_run)
+        )
+        assert main(["report", str(old_run)]) == 0
+        assert "pipeline.fit_silicon" in capsys.readouterr().out
+
 
 class TestBenchSink:
     def test_bench_artifacts_share_sink_format(self, tmp_path):

