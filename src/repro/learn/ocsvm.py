@@ -13,7 +13,13 @@ The dual is solved by sequential minimal optimization: at optimality
 (Kα)_i >= rho for alpha_i = 0, (Kα)_i <= rho for alpha_i = C, and
 (Kα)_i = rho in between.  Each iteration pairs the most violating "up"
 coordinate i with the "down" coordinate j of largest second-order gain
-(libsvm's WSS2) and transfers weight between them in closed form.  Kernel
+(libsvm's WSS2) and transfers weight between them in closed form.  Only
+coordinates with alpha > 0 can move down, and they are few (about the
+support vectors), so they are kept as an ascending index array that changes
+only when a coordinate enters or leaves the set: the stopping test and the
+choice of j scan it alone, while the choice of i and the gradient update
+run over all n.  The result is bit for bit that of scanning all n with the
+others masked out (``tests.oracles.FullScanOneClassSvm``).  Kernel
 rows are computed on demand and kept for the rest of the fit, so the n x n
 Gram matrix is never built: SMO touches only the rows of the coordinates it
 selects.  A fit's optimality is judged, not assumed: the KKT residual at
@@ -230,15 +236,21 @@ class OneClassSvm:
         rows.update(enumerate(block))
         gradient = alpha[:start] @ block
 
-        # Incremental working-set bookkeeping: the selection penalties change
-        # only at the two updated coordinates per iteration, so the loop does
-        # a handful of in-place O(n) vector ops and no index-array
-        # allocations.  Adding +/-inf penalties excludes coordinates pinned
-        # at a box edge from the masked arg-selections.
+        # Incremental working-set bookkeeping.  The up selection runs over all
+        # n coordinates: adding a +inf penalty excludes those pinned at the box
+        # bound, and only the two updated coordinates' penalties change per
+        # iteration.  The down candidates (alpha > 0) are few — about the
+        # support vectors — so they are kept as an ascending index array
+        # (the first ``n_down`` entries of ``down``), shifted in place only
+        # when a coordinate enters or leaves the set, and the stopping test
+        # and the choice of j run over it alone.  Ascending order keeps
+        # argmax's first-index tie-break of the full-length scan.
         up_penalty = np.where(alpha >= c_bound - 1e-15, np.inf, 0.0)
-        down_penalty = np.where(alpha <= 1e-15, -np.inf, 0.0)
+        members = np.flatnonzero(alpha > 1e-15)
+        n_down = members.size
+        down = np.empty(n, dtype=np.intp)
+        down[:n_down] = members
         work = np.empty(n)
-        curvature = np.empty(n)
         col = np.empty(n)
 
         capped = False
@@ -248,23 +260,25 @@ class OneClassSvm:
             i = int(work.argmin())
             if work[i] == np.inf:  # no coordinate can move up
                 break
-            np.add(gradient, down_penalty, out=work)
-            if work.max() - gradient[i] < self.tol:  # also: none can move down
+            candidates = down[:n_down]
+            gradient_down = gradient.take(candidates)
+            if gradient_down.max() - gradient[i] < self.tol:  # none can move down
                 break
             # Second-order selection of j (WSS2, Fan, Chen & Lin 2005): among
             # the down candidates with positive violation b_j = G_j - G_i,
             # maximize the guaranteed objective decrease b_j^2 / a_ij with
             # a_ij = K_ii + K_jj - 2 K_ij (k(x, x) = 1 for the RBF kernel).
             row_i = row(i)
-            np.multiply(row_i, -2.0, out=curvature)
+            curvature = row_i.take(candidates)
+            curvature *= -2.0
             curvature += 1.0 + row_i[i]
             np.maximum(curvature, _MIN_CURVATURE, out=curvature)
-            np.subtract(gradient, gradient[i], out=work)
-            np.maximum(work, 0.0, out=work)
-            work *= work
-            work /= curvature
-            work += down_penalty
-            j = int(work.argmax())
+            gradient_down -= gradient[i]
+            np.maximum(gradient_down, 0.0, out=gradient_down)
+            gradient_down *= gradient_down
+            gradient_down /= curvature
+            position = int(gradient_down.argmax())
+            j = int(candidates[position])
             row_j = row(j)
             violation = gradient[j] - gradient[i]
             pair_curvature = row_i[i] + row_j[j] - 2.0 * row_i[j]
@@ -274,6 +288,7 @@ class OneClassSvm:
                 step = min(violation / pair_curvature, c_bound - alpha[i], alpha[j])
             if step <= 0.0:
                 break
+            i_enters = alpha[i] <= 1e-15
             alpha[i] += step
             alpha[j] -= step
             # The kernel is symmetric, so rows stand in for columns
@@ -282,9 +297,15 @@ class OneClassSvm:
             col *= step
             gradient += col
             up_penalty[i] = np.inf if alpha[i] >= c_bound - 1e-15 else 0.0
-            down_penalty[i] = -np.inf if alpha[i] <= 1e-15 else 0.0
             up_penalty[j] = np.inf if alpha[j] >= c_bound - 1e-15 else 0.0
-            down_penalty[j] = -np.inf if alpha[j] <= 1e-15 else 0.0
+            if alpha[j] <= 1e-15:  # j leaves the down set
+                down[position:n_down - 1] = down[position + 1:n_down]
+                n_down -= 1
+            if i_enters and alpha[i] > 1e-15:  # i joins it
+                at = int(down[:n_down].searchsorted(i))
+                down[at + 1:n_down + 1] = down[at:n_down]
+                down[at] = i
+                n_down += 1
         else:
             capped = True
         self._store_solution(data, alpha, gradient, gamma, c_bound, iterations, capped)

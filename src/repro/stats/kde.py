@@ -80,6 +80,10 @@ def _sample_unit_epanechnikov(count: int, d: int, rng: np.random.Generator) -> n
     acceptance rate of 2/(d+2) this skips ~d/(d+2) of the Gaussian draws.
     The output is preallocated and filled batch by batch; each batch is
     sized to the remaining deficit, so no growing ``vstack`` copies occur.
+    Each batch builds the acceptance bound ``1 - r^2`` in one buffer, keeps
+    the accepted radii with ``np.compress`` and draws the directions'
+    normals straight into the output rows; the values and the generator's
+    stream are those of drawing every array fresh.
     """
     out = np.empty((count, d))
     filled = 0
@@ -89,17 +93,19 @@ def _sample_unit_epanechnikov(count: int, d: int, rng: np.random.Generator) -> n
         # Expected acceptance 2/(d+2); 1.2x head-room keeps iterations low.
         batch = max(64, int(remaining * (d + 2) / 2 * 1.2))
         proposals += batch
-        radii = rng.random(batch) ** (1.0 / d)
-        keep = rng.random(batch) < (1.0 - radii**2)
-        kept = radii[keep]
+        radii = rng.random(batch)
+        radii **= 1.0 / d
+        bound = np.square(radii)
+        np.subtract(1.0, bound, out=bound)
+        kept = np.compress(rng.random(batch) < bound, radii)
         take = min(kept.shape[0], remaining)
         if take == 0:
             continue
-        directions = rng.standard_normal((take, d))
+        directions = out[filled:filled + take]
+        rng.standard_normal(out=directions)
         norms = np.sqrt(np.einsum("ij,ij->i", directions, directions))
         norms[norms == 0.0] = 1.0
         directions *= (kept[:take] / norms)[:, None]
-        out[filled:filled + take] = directions
         filled += take
     if obs_metrics.enabled() and proposals:
         obs_metrics.counter("kde.sampler.proposals").inc(proposals)
@@ -257,7 +263,7 @@ class EpanechnikovKde:
             centers = gen.integers(0, m, size=size)
             offsets = _sample_unit_epanechnikov(size, d, gen)
             offsets *= self._h
-            working = self._points[centers]
+            working = np.take(self._points, centers, axis=0)
             working += offsets
             if self._whitener is not None:
                 return self._whitener.inverse_transform(working)
@@ -341,10 +347,10 @@ class AdaptiveKde(EpanechnikovKde):
             gen = as_generator(rng)
             m, d = self._points.shape
             centers = gen.integers(0, m, size=size)
-            scales = (self._h * self._lambdas)[centers]
+            scales = np.take(self._h * self._lambdas, centers)
             offsets = _sample_unit_epanechnikov(size, d, gen)
             offsets *= scales[:, None]
-            working = self._points[centers]
+            working = np.take(self._points, centers, axis=0)
             working += offsets
             if self._whitener is not None:
                 return self._whitener.inverse_transform(working)

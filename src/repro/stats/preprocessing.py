@@ -133,7 +133,9 @@ class Whitener:
                 f"data has {data.shape[1]} features, whitener was fitted on "
                 f"{self.mean_.shape[0]}"
             )
-        return (data - self.mean_) @ self.components_.T / self.scales_
+        whitened = (data - self.mean_) @ self.components_.T
+        whitened /= self.scales_
+        return whitened
 
     def fit_transform(self, data) -> np.ndarray:
         """Fit and transform in one step."""
@@ -143,7 +145,9 @@ class Whitener:
         """Map whitened coordinates back to the original space."""
         self._check_fitted()
         data = check_2d(data, "data")
-        return (data * self.scales_) @ self.components_ + self.mean_
+        restored = (data * self.scales_) @ self.components_
+        restored += self.mean_
+        return restored
 
     def to_state(self) -> dict:
         """Codec state of the fitted transform (see :mod:`repro.cache.codec`)."""

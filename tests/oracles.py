@@ -25,6 +25,16 @@ computes — and the oracles here *are* that formulation:
   gamma with ``np.median`` over the row-sliced strict upper triangle;
   production selects the same order statistics by partition and must
   equal it exactly;
+* :class:`FullScanOneClassSvm` runs the one-class SMO with full-length
+  selection penalties: every iteration's stopping test and WSS2 choice of
+  j scan all n coordinates, with ``-inf`` masking those at alpha = 0, and
+  gamma comes from the full distance matrix of the strided sample.
+  Production scans only the compact down set and forms only the strict
+  upper triangle, and must equal it bit for bit;
+* :func:`sample_unit_epanechnikov_fresh` draws the Epanechnikov sampler's
+  batches into fresh arrays (boolean-mask gather, a new array for the
+  normals); production fills buffers in place and must give the same
+  draws and leave the generator in the same state;
 * :func:`dense_decision_function` scores a batch with one dense kernel
   pass over every device and support vector, with no row blocks and no
   underflow cut;
@@ -51,12 +61,17 @@ import numpy as np
 
 from repro.circuits.montecarlo import MonteCarloResult, SimulatedDie
 from repro.learn.mars import BasisFunction, HingeTerm, MarsRegression
-from repro.learn.ocsvm import OneClassSvm
+from repro.learn.ocsvm import _MIN_CURVATURE, OneClassSvm, _rbf_against
 from repro.process.parameters import PARAMETER_NAMES, ProcessParameters
 from repro.process.population import DiePopulation, sample_structure_params
 from repro.silicon.instruments import DelayAnalyzer, PowerMeter
 from repro.stats.kde import unit_ball_volume
-from repro.stats.kernels import pairwise_sq_dists, rbf_from_sq_dists
+from repro.stats.kernels import (
+    _median_stride,
+    median_heuristic_gamma_from_sq,
+    pairwise_sq_dists,
+    rbf_from_sq_dists,
+)
 from repro.utils.rng import as_generator, spawn_seed_sequences
 
 
@@ -275,6 +290,92 @@ class DenseMvpOneClassSvm(OneClassSvm):
         self._store_solution(data, alpha, gradient, gamma, c_bound, iterations, capped)
 
 
+class FullScanOneClassSvm(OneClassSvm):
+    """One-class SVM whose SMO scans all n coordinates every iteration."""
+
+    def _fit(self, data):
+        if data.shape[0] > self.max_training_samples:
+            rng = as_generator(self.seed)
+            idx = rng.choice(data.shape[0], size=self.max_training_samples, replace=False)
+            data = data[idx]
+        n = data.shape[0]
+        if self.gamma is not None:
+            gamma = self.gamma
+        else:
+            sample = data[::_median_stride(n, 1000)]
+            gamma = median_heuristic_gamma_from_sq(pairwise_sq_dists(sample, sample))
+
+        sq_norms = np.sum(data**2, axis=1)[None, :]
+        rows = {}
+
+        def row(k):
+            cached = rows.get(k)
+            if cached is None:
+                cached = rows[k] = _rbf_against(data[k:k + 1], data, sq_norms, gamma)[0]
+            return cached
+
+        c_bound = 1.0 / (self.nu * n)
+        full = min(n, int(self.nu * n))
+        if full == 0:
+            alpha = np.full(n, 1.0 / n)
+        else:
+            alpha = np.zeros(n)
+            alpha[:full] = c_bound
+            alpha[full:full + 1] = max(0.0, 1.0 - full * c_bound)
+        start = n if full == 0 else min(n, full + 1)
+        block = _rbf_against(data[:start], data, sq_norms, gamma)
+        rows.update(enumerate(block))
+        gradient = alpha[:start] @ block
+
+        up_penalty = np.where(alpha >= c_bound - 1e-15, np.inf, 0.0)
+        down_penalty = np.where(alpha <= 1e-15, -np.inf, 0.0)
+        work = np.empty(n)
+        curvature = np.empty(n)
+        col = np.empty(n)
+
+        capped = False
+        iterations = 0
+        for iterations in range(1, self.max_iterations + 1):
+            np.add(gradient, up_penalty, out=work)
+            i = int(work.argmin())
+            if work[i] == np.inf:
+                break
+            np.add(gradient, down_penalty, out=work)
+            if work.max() - gradient[i] < self.tol:
+                break
+            row_i = row(i)
+            np.multiply(row_i, -2.0, out=curvature)
+            curvature += 1.0 + row_i[i]
+            np.maximum(curvature, _MIN_CURVATURE, out=curvature)
+            np.subtract(gradient, gradient[i], out=work)
+            np.maximum(work, 0.0, out=work)
+            work *= work
+            work /= curvature
+            work += down_penalty
+            j = int(work.argmax())
+            row_j = row(j)
+            violation = gradient[j] - gradient[i]
+            pair_curvature = row_i[i] + row_j[j] - 2.0 * row_i[j]
+            if pair_curvature <= 1e-15:
+                step = min(c_bound - alpha[i], alpha[j])
+            else:
+                step = min(violation / pair_curvature, c_bound - alpha[i], alpha[j])
+            if step <= 0.0:
+                break
+            alpha[i] += step
+            alpha[j] -= step
+            np.subtract(row_i, row_j, out=col)
+            col *= step
+            gradient += col
+            up_penalty[i] = np.inf if alpha[i] >= c_bound - 1e-15 else 0.0
+            down_penalty[i] = -np.inf if alpha[i] <= 1e-15 else 0.0
+            up_penalty[j] = np.inf if alpha[j] >= c_bound - 1e-15 else 0.0
+            down_penalty[j] = -np.inf if alpha[j] <= 1e-15 else 0.0
+        else:
+            capped = True
+        self._store_solution(data, alpha, gradient, gamma, c_bound, iterations, capped)
+
+
 def dense_decision_function(svm, points):
     """``svm.decision_function(points)`` as one dense kernel pass.
 
@@ -296,6 +397,32 @@ def epanechnikov_kernel_value(t):
     sq = np.sum(t**2, axis=1)
     value = 0.5 * (d + 2.0) / unit_ball_volume(d) * (1.0 - sq)
     return np.where(sq < 1.0, value, 0.0)
+
+
+def sample_unit_epanechnikov_fresh(count, d, rng):
+    """``repro.stats.kde._sample_unit_epanechnikov`` with fresh arrays.
+
+    Same rejection scheme, batch sizes and draw order; every intermediate
+    is a new array and the accepted radii are gathered by boolean mask.
+    """
+    out = np.empty((count, d))
+    filled = 0
+    while filled < count:
+        remaining = count - filled
+        batch = max(64, int(remaining * (d + 2) / 2 * 1.2))
+        radii = rng.random(batch) ** (1.0 / d)
+        keep = rng.random(batch) < (1.0 - radii**2)
+        kept = radii[keep]
+        take = min(kept.shape[0], remaining)
+        if take == 0:
+            continue
+        directions = rng.standard_normal((take, d))
+        norms = np.sqrt(np.einsum("ij,ij->i", directions, directions))
+        norms[norms == 0.0] = 1.0
+        directions *= (kept[:take] / norms)[:, None]
+        out[filled:filled + take] = directions
+        filled += take
+    return out
 
 
 def cholesky_active_set(K, c, B, beta, free, total, max_iterations, tol):

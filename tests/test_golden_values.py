@@ -5,7 +5,12 @@ silent stream re-roll or a numerics change anywhere in the simulation,
 fabrication, measurement or detection chain fails here.  The fixture is one
 display-lot calibration (platform seed 16, detector seed 11, M' = 3x10^4).
 The five one-class SVM gammas of that calibration are pinned exactly too:
-the median heuristic that sets them must keep every bit.
+the median heuristic that sets them must keep every bit.  So are the
+tail-enhanced datasets S2 and S5 (SHA-256 of their bytes), each boundary's
+dual solution (SHA-256 of its support vectors, dual coefficients and rho)
+and each boundary's SMO iteration and support-vector counts: a change to
+the KDE sampler or the SMO that claims the same bits must pass them
+unedited.
 
 Two further lots (platform seeds 33 and 39, same detector) pin the counts
 across process variation: they are the lots on which the one-class SVM fits
@@ -62,6 +67,31 @@ GOLDEN_GAMMAS = {
     "B3": 0.5762475042163021,
     "B4": 1.4832868990263752,
     "B5": 0.6790870508230964,
+}
+
+#: SHA-256 of the raw float64 bytes of the tail-enhanced (30000, 6) datasets.
+GOLDEN_DATASETS = {
+    "S2": "7cd4091a56ddc56b97b13f6fcdc9b0a9ef3e201cea36d32eb30fd9f2b9209a9e",
+    "S5": "a8ea0d16b20a39d7e2c31788dc9f521ca415692dab1df71e8e86085b38245473",
+}
+
+#: Per-boundary SHA-256 of support_vectors_, dual_coefs_ and rho_ (float64
+#: bytes, in that order).
+GOLDEN_SOLUTIONS = {
+    "B1": "8ad48350d0b29cff2a22a625636b8e2545655ab2f69820afa1657606f42ef932",
+    "B2": "e1d5cb309e16a0b479b99b2a068e0a32968dd08d243d5cca86cb99ef636d24b0",
+    "B3": "6f8ddd682a3a7b88c336ee8b0426a2341581a3648ee1c9f47123c099a0263eda",
+    "B4": "b0dde0ef4356698ad67fc6bb8c090f584a23c184a582e032184e269c3fbe9e1a",
+    "B5": "9e51cffdbe37aff457893cc79eda3fb9dfda0e2ae5d1d53ee5496eef34de5b13",
+}
+
+#: Per-boundary (SMO iterations, support vectors): 686 and 296 in total.
+GOLDEN_SMO = {
+    "B1": (166, 18),
+    "B2": (138, 126),
+    "B3": (137, 11),
+    "B4": (25, 11),
+    "B5": (220, 130),
 }
 
 #: Per-boundary (FP, FN) of the cross-lot pins, keyed by platform seed.
@@ -128,6 +158,27 @@ def test_boundary_gammas(display_table1):
     boundaries = display_table1.detector.boundaries
     gammas = {name: region.svm.effective_gamma_ for name, region in boundaries.items()}
     assert gammas == GOLDEN_GAMMAS
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DATASETS))
+def test_tail_enhanced_dataset_digest(display_table1, name):
+    dataset = display_table1.detector.datasets.sets[name]
+    assert dataset.shape == (30_000, 6) and dataset.dtype == np.float64
+    digest = hashlib.sha256(np.ascontiguousarray(dataset).tobytes()).hexdigest()
+    assert digest == GOLDEN_DATASETS[name]
+
+
+def test_boundary_solutions(display_table1):
+    digests, counts = {}, {}
+    for name, region in display_table1.detector.boundaries.items():
+        svm = region.svm
+        digest = hashlib.sha256()
+        for array in (svm.support_vectors_, svm.dual_coefs_, np.float64(svm.rho_)):
+            digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+        digests[name] = digest.hexdigest()
+        counts[name] = (svm.n_iterations_, svm.support_vectors_.shape[0])
+    assert counts == GOLDEN_SMO
+    assert digests == GOLDEN_SOLUTIONS
 
 
 @pytest.mark.parametrize("platform_seed", sorted(CROSS_LOT_COUNTS))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.learn.ocsvm import BOUNDARY_TOL, _BLOCK_ENTRIES, OneClassSvm
 from repro.stats.kernels import pairwise_sq_dists, rbf_kernel
+from tests.oracles import FullScanOneClassSvm
 
 
 @pytest.fixture()
@@ -109,6 +110,46 @@ class TestSolver:
         data = np.random.default_rng(0).standard_normal((50, 2))
         svm = OneClassSvm(nu=0.2, seed=0).fit(data)
         assert svm.n_iterations_ < 50_000
+
+
+def assert_same_fit(data, **params):
+    """Production fit == the full-scan oracle's, bit for bit."""
+    fit = OneClassSvm(**params).fit(data)
+    oracle = FullScanOneClassSvm(**params).fit(data)
+    assert fit.support_vectors_.tobytes() == oracle.support_vectors_.tobytes()
+    assert fit.dual_coefs_.tobytes() == oracle.dual_coefs_.tobytes()
+    assert fit.rho_.hex() == oracle.rho_.hex()
+    assert fit.effective_gamma_.hex() == oracle.effective_gamma_.hex()
+    assert fit.n_iterations_ == oracle.n_iterations_
+    assert fit.kkt_residual_.hex() == oracle.kkt_residual_.hex()
+    assert fit.converged_ == oracle.converged_
+    return fit
+
+
+class TestCompactDownSet:
+    """The SMO's compact down-set scan == the full-length scan, bit for bit."""
+
+    # n = 2600 rows are subsampled to 2000.  nu = 0.0005 gives nu * n < 1,
+    # the uniform start, below n = 2000.
+    @pytest.mark.parametrize("n", [2, 10, 100, 1500, 2600])
+    @pytest.mark.parametrize("nu", [0.0005, 0.08, 0.5])
+    def test_matches_full_scan(self, n, nu):
+        data = np.random.default_rng(n).standard_normal((n, 6)) * [3.0, 1, 1, 1, 0.5, 0.1]
+        assert_same_fit(data, nu=nu, seed=4)
+
+    # Grid points repeated 4 times tie exactly in the WSS2 gain; only an
+    # ascending down set breaks those ties as the full-length scan does.
+    @pytest.mark.parametrize("seed, d", [(1, 1), (9, 2)])
+    @pytest.mark.parametrize("nu", [0.0005, 0.08, 0.5])
+    def test_duplicated_rows(self, seed, d, nu):
+        base = np.round(np.random.default_rng(seed).standard_normal((40, d)))
+        data = np.repeat(base, 4, axis=0)[np.random.default_rng(seed + 100).permutation(160)]
+        assert_same_fit(data, nu=nu)
+
+    @pytest.mark.parametrize("max_iterations", [1, 5, 40])
+    def test_iteration_cap(self, gaussian_cloud, max_iterations):
+        fit = assert_same_fit(gaussian_cloud, nu=0.08, max_iterations=max_iterations)
+        assert fit.n_iterations_ == max_iterations and not fit.converged_
 
 
 def dense_kkt_residual(model, data):

@@ -7,10 +7,11 @@ from scipy import integrate
 from repro.stats.kde import (
     AdaptiveKde,
     EpanechnikovKde,
+    _sample_unit_epanechnikov,
     epanechnikov_bandwidth,
     unit_ball_volume,
 )
-from tests.oracles import epanechnikov_kernel_value
+from tests.oracles import epanechnikov_kernel_value, sample_unit_epanechnikov_fresh
 
 
 class TestKernelMaths:
@@ -42,6 +43,21 @@ class TestKernelMaths:
             epanechnikov_bandwidth(0, 3)
         with pytest.raises(ValueError):
             epanechnikov_bandwidth(10, 0)
+
+
+class TestSamplerBuffers:
+    """The in-place sampler draws what the fresh-array sampler draws."""
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 1000, 30_000])
+    @pytest.mark.parametrize("d", [1, 2, 6, 8])
+    def test_same_draws_and_stream(self, count, d):
+        gen = np.random.default_rng(count * 10 + d)
+        oracle_gen = np.random.default_rng(count * 10 + d)
+        draws = _sample_unit_epanechnikov(count, d, gen)
+        expected = sample_unit_epanechnikov_fresh(count, d, oracle_gen)
+        assert draws.shape == (count, d)
+        assert draws.tobytes() == expected.tobytes()
+        assert gen.bit_generator.state == oracle_gen.bit_generator.state
 
 
 class TestFixedKde:

@@ -1,5 +1,7 @@
 """Kernel functions and the median heuristic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.stats.kernels import (
+    _MEDIAN_BLOCK_ROWS,
     median_heuristic_gamma,
     median_heuristic_gamma_from_sq,
     median_heuristic_gamma_strided,
@@ -90,7 +93,11 @@ class TestMedianHeuristicExactness:
 
     # Triangle sizes n(n-1)/2: odd for n = 2, 3, 6, 7, 41; even for n = 4,
     # 5, 40, 640 (large enough that a partition does not fully sort it).
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 40, 41, 640])
+    # The strided path's last row block holds a full block, 1 row, and one
+    # row short of a full block at the _MEDIAN_BLOCK_ROWS multiples below.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 40, 41, 640,
+                                   _MEDIAN_BLOCK_ROWS, _MEDIAN_BLOCK_ROWS + 1,
+                                   2 * _MEDIAN_BLOCK_ROWS - 1, 2 * _MEDIAN_BLOCK_ROWS])
     def test_odd_and_even_triangles(self, n):
         self._assert_exact(np.random.default_rng(n).standard_normal((n, 3)))
 
@@ -113,3 +120,18 @@ class TestMedianHeuristicExactness:
     @given(finite_matrix)
     def test_random_matrices(self, x):
         self._assert_exact(x)
+
+    def test_no_square_temporaries(self):
+        """1,500 rows stride to 750.  The Gram product (750^2 doubles),
+        which also takes the triangle, and one row block's scratch peak at
+        1.12x that; a distance matrix, or a full mask plus the gathered
+        triangle, pushes past 1.8x (the n x n formulation peaks at 2.03x)."""
+        x = np.random.default_rng(0).standard_normal((1500, 6))
+        median_heuristic_gamma_strided(x)
+        tracemalloc.start()
+        try:
+            median_heuristic_gamma_strided(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * 750**2 * 8

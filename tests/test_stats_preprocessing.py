@@ -80,6 +80,16 @@ class TestWhitener:
             whitener.inverse_transform(whitener.transform(data)), data, atol=1e-6
         )
 
+    def test_in_place_finish_keeps_the_bits(self):
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((500, 6)) @ rng.standard_normal((6, 6))
+        w = Whitener().fit(data)
+        whitened = w.transform(data)
+        expected = (data - w.mean_) @ w.components_.T / w.scales_
+        assert whitened.tobytes() == expected.tobytes()
+        expected = (whitened * w.scales_) @ w.components_ + w.mean_
+        assert w.inverse_transform(whitened).tobytes() == expected.tobytes()
+
     def test_single_point_population_is_identity(self):
         whitener = Whitener().fit(np.full((3, 2), 5.0))
         np.testing.assert_allclose(whitener.scales_, 1.0)
