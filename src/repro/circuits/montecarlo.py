@@ -19,7 +19,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.process.parameters import ProcessParameters
 from repro.process.population import DiePopulation, sample_structure_params
-from repro.utils.rng import SeedLike, spawn_seed_sequences
+from repro.utils.rng import SeedLike, seeded_generators, spawn_entropy, spawn_seed_sequences
 
 
 @dataclass
@@ -58,28 +58,29 @@ class SimulatedDie:
         return f"MC{self.index}"
 
 
-def sample_device_population(deck: SpiceDeck, seeds) -> DiePopulation:
+def sample_device_population(deck: SpiceDeck, entropy: np.ndarray) -> DiePopulation:
     """Draw a whole Monte Carlo device population as parallel arrays.
 
-    ``seeds`` are per-device seed sequences.  Each device's generator is
+    ``entropy`` holds one row per device: the assembled ``uint32`` entropy
+    of its seed sequence (:func:`~repro.utils.rng.spawn_entropy` builds the
+    rows of a root's spawned children).  Each device's generator is
     consumed in exactly the order of a scalar draw — ``1 + k_lot`` normals
     for :meth:`SpiceDeck.sample_die <repro.circuits.spicemodel.SpiceDeck.sample_die>`'s
     lot draw, ``1 + k_die`` for its die draw (a single vectorized
     ``standard_normal`` of that length yields the identical stream), then
     one mismatch-seed integer — so row ``i`` is bitwise the
-    :class:`SimulatedDie` a device-at-a-time draw from ``seeds[i]`` builds.
+    :class:`SimulatedDie` a device-at-a-time draw from
+    ``np.random.SeedSequence(entropy[i])`` builds.
     """
-    seeds = list(seeds)
-    n = len(seeds)
+    n = entropy.shape[0]
     variation = deck.variation
     k_lot = variation.correlated_draw_count(variation.lot_sigma)
     k_die = variation.correlated_draw_count(variation.die_sigma)
     z = np.empty((n, k_lot + k_die), dtype=float)
     mismatch = np.empty(n, dtype=np.int64)
-    for i, seed in enumerate(seeds):
-        gen = np.random.default_rng(seed)
-        z[i] = gen.standard_normal(k_lot + k_die)
-        mismatch[i] = int(gen.integers(0, 2**63 - 1))
+    for i, gen in enumerate(seeded_generators(entropy)):
+        gen.standard_normal(out=z[i])
+        mismatch[i] = gen.integers(0, 2**63 - 1)
     lot = variation.apply_correlated(
         deck.nominal, variation.lot_sigma, z[:, 0], z[:, 1:k_lot]
     )
@@ -151,9 +152,11 @@ class MonteCarloEngine:
     def run(self, n: int, seed: SeedLike = None) -> MonteCarloResult:
         """Simulate ``n`` golden devices and measure PCMs + fingerprints.
 
-        Every device owns a random stream spawned from ``seed``, and the
-        numerical-noise draw comes from its own dedicated stream.  The
-        population is drawn and measured as array programs (see
+        Every device owns a random stream spawned from ``seed`` (seeded
+        from its spawned child's entropy row, with no seed sequence built
+        per device), and the numerical-noise draw comes from its own
+        dedicated stream.  The population is drawn and measured as array
+        programs (see
         :func:`sample_device_population` and
         :meth:`~repro.testbed.campaign.FingerprintCampaign.measure_population_arrays`).
         """
@@ -161,7 +164,9 @@ class MonteCarloEngine:
             raise ValueError(f"n must be positive, got {n}")
         with span("mc.run", n=n):
             device_root, noise_root = spawn_seed_sequences(seed, 2)
-            population = sample_device_population(self.deck, device_root.spawn(n))
+            population = sample_device_population(
+                self.deck, spawn_entropy([device_root], n)
+            )
             pcms, fingerprints = self.campaign.measure_population_arrays(population)
             obs_metrics.counter("mc.devices_simulated").inc(n)
             if self.numerical_noise > 0:

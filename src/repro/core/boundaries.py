@@ -102,9 +102,15 @@ class TrustedRegion:
             floor_sigma = self.noise_floor_rel * float(np.mean(np.abs(population)))
             self._whitener = Whitener(
                 floor_ratio=self.floor_ratio, floor_sigma=floor_sigma
-            )
-            whitened = self._whitener.fit_transform(population)
-            self._learner.fit(whitened)
+            ).fit(population)
+            # The SVM trains on a subsample of large populations: whiten
+            # only those rows (the same bits as whitening all and taking
+            # them).  Injected learners see every row.
+            if isinstance(self._learner, OneClassSvm):
+                idx = self._learner.training_indices(population.shape[0])
+                if idx is not None:
+                    population = population[idx]
+            self._learner.fit(self._whitener.transform(population))
         return self
 
     def _check_fitted(self):

@@ -193,10 +193,23 @@ class OneClassSvm:
         )
         return self
 
+    def training_indices(self, n_rows: int) -> Optional[np.ndarray]:
+        """The rows of an ``n_rows``-row sample that :meth:`fit` trains on.
+
+        ``None`` when the sample is within ``max_training_samples`` (all
+        rows); otherwise a fresh draw of ``max_training_samples`` indices
+        from ``seed``.  A caller that subsamples with these indices hands
+        :meth:`fit` a sample it trains on whole, so the draw is made once
+        (a ``Generator`` seed advances with each draw).
+        """
+        if n_rows <= self.max_training_samples:
+            return None
+        rng = as_generator(self.seed)
+        return rng.choice(n_rows, size=self.max_training_samples, replace=False)
+
     def _fit(self, data) -> None:
-        if data.shape[0] > self.max_training_samples:
-            rng = as_generator(self.seed)
-            idx = rng.choice(data.shape[0], size=self.max_training_samples, replace=False)
+        idx = self.training_indices(data.shape[0])
+        if idx is not None:
             data = data[idx]
         n = data.shape[0]
         gamma = self.gamma if self.gamma is not None else median_heuristic_gamma_strided(data)
@@ -208,9 +221,19 @@ class OneClassSvm:
         rows = {}
 
         def row(k: int) -> np.ndarray:
+            # _rbf_against's arithmetic on one row, reading the row's squared
+            # norm from sq_norms; gamma was checked by the start block below.
+            # The one-row 2-D product keeps _rbf_against's GEMM path, and so
+            # its bits.
             cached = rows.get(k)
             if cached is None:
-                cached = rows[k] = _rbf_against(data[k:k + 1], data, sq_norms, gamma)[0]
+                prod = data[k:k + 1] @ data.T
+                prod *= 2.0
+                sq = sq_norms[0, k] + sq_norms
+                np.subtract(sq, prod, out=sq)
+                np.maximum(sq, 0.0, out=sq)
+                sq *= -gamma
+                cached = rows[k] = np.exp(sq, out=sq)[0]
             return cached
 
         c_bound = 1.0 / (self.nu * n)

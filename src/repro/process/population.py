@@ -4,11 +4,13 @@ A :class:`DiePopulation` stores a whole population of dies as one
 array-valued :class:`~repro.process.parameters.ProcessParameters` (each field
 an ``(n,)`` float array) plus the per-die mismatch seeds.  Per-structure
 local parameters are then evaluated for all dies at once.  The arithmetic
-that turns the mismatch draws into parameters is vectorized; what stays per
-die is one seed sequence and one generator per (die, structure) pair, which
-bit-identity with the scalar path requires.  The structure name is encoded
-once per structure, and each die's seed words are written straight into a
-``uint32`` entropy array, so numpy never coerces a Python list per die.
+that turns the mismatch draws into parameters is vectorized, and so is the
+seeding: the dies' entropy rows (seed words, then the structure name's
+bytes, grouped by the seed's word count) are mixed into ``SeedSequence``
+pools in a few array operations by :func:`~repro.utils.rng.seeded_generators`,
+which re-seeds one generator per die.  What stays per die is setting that
+generator's PCG64 state and drawing its normals; no seed sequence or
+generator is built per (die, structure) pair.
 
 The RNG stream contract shared with the scalar dies
 (:class:`~repro.circuits.montecarlo.SimulatedDie`,
@@ -37,20 +39,22 @@ import numpy as np
 
 from repro.process.parameters import ProcessParameters, stack_parameters
 from repro.process.variation import VariationModel
-from repro.utils.rng import seed_entropy, structure_words
+from repro.utils.rng import (
+    seed_entropy,
+    seed_entropy_groups,
+    seeded_generators,
+    structure_words,
+)
 
 
-def structure_seed_sequence(mismatch_seed: int, structure) -> np.random.SeedSequence:
+def structure_seed_sequence(mismatch_seed: int, structure: str) -> np.random.SeedSequence:
     """The per-(die, structure) seed: die seed mixed with the structure name.
 
-    ``structure`` is the name or its pre-encoded
-    :func:`~repro.utils.rng.structure_words`, so a caller seeding many dies
-    of one structure encodes the name once.  A negative seed raises
-    ``ValueError``.
+    The scalar reference of the stream contract;
+    :meth:`DiePopulation.structure_params` seeds from the same entropy rows
+    without building it.  A negative seed raises ``ValueError``.
     """
-    if isinstance(structure, str):
-        structure = structure_words(structure)
-    return np.random.SeedSequence(seed_entropy(mismatch_seed, structure))
+    return np.random.SeedSequence(seed_entropy(mismatch_seed, structure_words(structure)))
 
 
 def sample_structure_params(
@@ -159,10 +163,10 @@ class DiePopulation:
             sigmas = self.variation.within_die_sigma
             draws = self.variation.independent_draw_count(sigmas)
             z = np.empty((len(self), draws), dtype=float)
-            words = structure_words(structure)
-            for i, seed in enumerate(self.mismatch_seeds.tolist()):
-                rng = np.random.default_rng(structure_seed_sequence(seed, words))
-                z[i] = rng.standard_normal(draws)
+            groups = seed_entropy_groups(self.mismatch_seeds, structure_words(structure))
+            for indices, rows in groups:
+                for i, rng in zip(indices.tolist(), seeded_generators(rows)):
+                    rng.standard_normal(out=z[i])
             local = self.variation.apply_independent(self.die_params, sigmas, z)
             for key, shifts in self.analog_model_error.items():
                 if key in structure:

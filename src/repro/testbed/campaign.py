@@ -32,7 +32,7 @@ from repro.silicon.instruments import DelayAnalyzer, Instrument, PowerMeter
 from repro.silicon.pcm import PCMSuite
 from repro.testbed.chip import WirelessCryptoChip
 from repro.trojans.base import TrojanModel
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike, as_generator, seeded_generators, spawn_entropy
 
 
 @dataclass
@@ -82,6 +82,9 @@ class FingerprintCampaign:
     power_meter: Optional[PowerMeter] = None
     delay_analyzer: Optional[DelayAnalyzer] = None
     instrument_root: Optional[np.random.SeedSequence] = field(default=None, repr=False)
+    _cipher_bits: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.key) != 16:
@@ -123,6 +126,23 @@ class FingerprintCampaign:
         return len(self.plaintexts)
 
     @property
+    def cipher_bits(self) -> np.ndarray:
+        """``(nm, 128)`` bits of the ciphertext blocks, encrypted once.
+
+        The key and plaintexts are frozen for the campaign's lifetime, so
+        the blocks are encrypted on first use and the read-only bits are
+        reused by every measurement (and by :meth:`silicon_bench` copies).
+        """
+        if self._cipher_bits is None:
+            blocks = np.frombuffer(b"".join(self.plaintexts), dtype=np.uint8)
+            bits = np.unpackbits(
+                aes128_encrypt_blocks(self.key, blocks.reshape(self.nm, 16)), axis=1
+            )
+            bits.flags.writeable = False
+            self._cipher_bits = bits
+        return self._cipher_bits
+
+    @property
     def np_dim(self) -> int:
         """PCM vector dimensionality."""
         return len(self.pcm_suite)
@@ -138,7 +158,7 @@ class FingerprintCampaign:
         than the averaged RF power measurements of the fingerprint bench.
         """
         rng = as_generator(seed)
-        return FingerprintCampaign(
+        bench = FingerprintCampaign(
             key=self.key,
             plaintexts=list(self.plaintexts),
             pcm_suite=self.pcm_suite,
@@ -148,6 +168,8 @@ class FingerprintCampaign:
             delay_analyzer=DelayAnalyzer(seed=rng, gain_sigma=pcm_noise),
             instrument_root=np.random.SeedSequence(int(rng.integers(0, 2**63 - 1))),
         )
+        bench._cipher_bits = self.cipher_bits
+        return bench
 
     # ------------------------------------------------------------------
     # measurements
@@ -267,13 +289,16 @@ class FingerprintCampaign:
         Returns the ``(n, np)`` PCM matrix and ``(n, nm)`` fingerprint matrix
         of the population; row ``i`` is bitwise identical to
         :meth:`measure_device` on die ``i`` (measured with per-device
-        instruments seeded from ``instrument_seeds[i]``, when given).
+        instruments seeded from the (power, delay) children
+        ``instrument_seeds[i].spawn(2)`` would give, when given; the seeds
+        themselves are not advanced).
 
         Three facts make exactness possible:
 
         * ciphertexts depend only on (key, plaintext), so each block is
-          encrypted once — not once per device — and every die shares the
-          same pulse positions;
+          encrypted once per campaign (:attr:`cipher_bits`) — not once per
+          device or per call — and every die shares the same pulse
+          positions;
         * the analog compact models are chains of elementwise ufuncs, which
           numpy evaluates identically for scalars and arrays (the one
           exception, ``x ** alpha``, is routed through ``math.pow`` — see
@@ -287,25 +312,22 @@ class FingerprintCampaign:
             fingerprints = self._population_fingerprints(population, trojan, version)
         obs_metrics.counter("campaign.devices_measured").inc(len(population))
         if instrument_seeds is not None:
-            delay_z = power_z = None
-            if self.delay_analyzer is not None:
-                delay_z = np.empty((len(population), 2 * self.np_dim))
-            if self.power_meter is not None:
-                power_z = np.empty((len(population), 2 * self.nm))
-            for i, seed in enumerate(instrument_seeds):
-                # Mirrors the per-device bench build: spawn (power, delay)
-                # streams, then consume readings in measurement order —
-                # PCMs on the delay stream, then block powers on the power
-                # stream — two normals (gain z, offset z) per reading.
-                power_seq, delay_seq = seed.spawn(2)
-                if delay_z is not None:
-                    delay_z[i] = np.random.default_rng(delay_seq).standard_normal(
-                        2 * self.np_dim
-                    )
-                if power_z is not None:
-                    power_z[i] = np.random.default_rng(power_seq).standard_normal(
-                        2 * self.nm
-                    )
+            # Mirrors the per-device bench build: each device seed spawns
+            # (power, delay) streams, consumed in measurement order — PCMs
+            # on the delay stream, then block powers on the power stream —
+            # two normals (gain z, offset z) per reading.  Only attached
+            # instruments' streams are seeded, from the children's entropy
+            # rows; no seed sequence is spawned.
+            n = len(population)
+            power_z = np.empty((n, 2 * self.nm)) if self.power_meter is not None else None
+            delay_z = (np.empty((n, 2 * self.np_dim))
+                       if self.delay_analyzer is not None else None)
+            drawn = [(child, z) for child, z in enumerate((power_z, delay_z)) if z is not None]
+            streams = spawn_entropy(instrument_seeds, 2).reshape(n, 2, -1)
+            rows = streams[:, [child for child, _ in drawn]].reshape(n * len(drawn), -1)
+            for k, rng in enumerate(seeded_generators(rows)):
+                device, stream = divmod(k, len(drawn))
+                rng.standard_normal(out=drawn[stream][1][device])
             if delay_z is not None:
                 pcms = _apply_instrument_noise(pcms, delay_z, self.delay_analyzer)
             if power_z is not None:
@@ -317,10 +339,7 @@ class FingerprintCampaign:
     def _population_fingerprints(self, population, trojan, version) -> np.ndarray:
         """Noise-free ``(n, nm)`` block-power fingerprints of a population."""
         key_bits = bytes_to_bits(self.key)
-        blocks = np.frombuffer(b"".join(self.plaintexts), dtype=np.uint8)
-        cipher_bits = np.unpackbits(
-            aes128_encrypt_blocks(self.key, blocks.reshape(self.nm, 16)), axis=1
-        )
+        cipher_bits = self.cipher_bits
         amplitude = population_output_amplitude(
             population.structure_params(f"{version}.uwb_pa")
         )

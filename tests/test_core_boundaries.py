@@ -1,9 +1,13 @@
 """TrustedRegion: whitened-space one-class boundary."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.boundaries import TrustedRegion
+from repro.learn.ocsvm import OneClassSvm
+from repro.stats.preprocessing import Whitener
 
 
 @pytest.fixture()
@@ -89,3 +93,79 @@ def test_injected_learner_is_fitted_in_whitened_space(ray_population):
     expected = learner.decision_function(region.whitener.transform(ray_population))
     np.testing.assert_array_equal(region.decision_scores(ray_population), expected)
     assert region.predict_trojan_free(ray_population).all()
+
+
+def _large_population(n=30_000, seed=1):
+    """A KDE-sized correlated population, larger than the SVM's 1,500-row cap."""
+    rng = np.random.default_rng(seed)
+    gains = 1.0 + 0.05 * rng.standard_normal(n)
+    pattern = np.array([10.0, 12.0, 9.0, 11.0, 10.5, 9.5])
+    return gains[:, None] * pattern[None, :] + 0.02 * rng.standard_normal((n, 6))
+
+
+class TestSubsampledWhitening:
+    """The SVM trains on a subsample; only those rows are whitened."""
+
+    def test_same_solution_as_whitening_every_row(self):
+        population = _large_population()
+        region = TrustedRegion(nu=0.01, noise_floor_rel=0.003, seed=7).fit(population)
+        floor_sigma = 0.003 * float(np.mean(np.abs(population)))
+        whitened = Whitener(floor_ratio=2e-3, floor_sigma=floor_sigma).fit_transform(population)
+        reference = OneClassSvm(nu=0.01, max_training_samples=1500, seed=7).fit(whitened)
+        svm = region.svm
+        np.testing.assert_array_equal(svm.support_vectors_, reference.support_vectors_)
+        np.testing.assert_array_equal(svm.dual_coefs_, reference.dual_coefs_)
+        assert svm.rho_ == reference.rho_
+        assert svm.effective_gamma_ == reference.effective_gamma_
+        assert region.n_training_samples_ == population.shape[0]
+
+    def test_subset_transform_keeps_the_bits(self):
+        population = _large_population()
+        whitener = Whitener(floor_ratio=2e-3, floor_sigma=0.01).fit(population)
+        whole = whitener.transform(population)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            idx = rng.choice(population.shape[0], size=1500, replace=False)
+            np.testing.assert_array_equal(whitener.transform(population[idx]), whole[idx])
+
+    def test_generator_seed_draws_the_subsample_once(self):
+        population = _large_population(n=4000)
+        seed = np.random.default_rng(5)
+        TrustedRegion(seed=seed).fit(population)
+        expected = np.random.default_rng(5)
+        expected.choice(4000, size=1500, replace=False)
+        assert seed.bit_generator.state == expected.bit_generator.state
+
+    def test_injected_learner_sees_every_row(self):
+        population = _large_population(n=4000)
+
+        class Recorder:
+            def fit(self, data):
+                self.rows_ = data.shape[0]
+                return self
+
+        learner = Recorder()
+        region = TrustedRegion(learner=learner, seed=0).fit(population)
+        assert learner.rows_ == 4000
+        assert region.n_training_samples_ == 4000
+
+    def test_no_whitened_copy_of_the_whole_population(self):
+        """When the SVM starts, no 30,000-row whitened array is alive, and
+        whitening never held two population-sized arrays at once."""
+        population = _large_population()
+        region = TrustedRegion(nu=0.01, seed=7)
+        svm_fit = region.svm.fit
+        seen = {}
+
+        def fit(data):
+            seen["current"], seen["peak"] = tracemalloc.get_traced_memory()
+            return svm_fit(data)
+
+        region.svm.fit = fit
+        tracemalloc.start()
+        try:
+            region.fit(population)
+        finally:
+            tracemalloc.stop()
+        assert seen["current"] < 0.25 * population.nbytes
+        assert seen["peak"] < 1.5 * population.nbytes

@@ -13,6 +13,8 @@ FIPS-197 reference.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from repro.silicon.instruments import DelayAnalyzer, PowerMeter
 from repro.testbed.campaign import FingerprintCampaign
 from repro.trojans.amplitude import AmplitudeModulationTrojan
 from repro.trojans.frequency import FrequencyModulationTrojan
+from repro.utils.rng import spawn_entropy
 from tests.conftest import small_platform
 from tests.oracles import measure_population_loop, monte_carlo_loop, parameters_at
 
@@ -99,6 +102,19 @@ class TestCampaignEngineBitIdentity:
             batched.extend(batched_bench.measure_population(
                 fabricated_dies, trojan=trojan, version=version
             ))
+        _assert_device_lists_equal(batched, loop)
+
+    @pytest.mark.parametrize("instrument", ["power_meter", "delay_analyzer"])
+    def test_single_instrument_bench(self, fabricated_dies, instrument):
+        # A bench with one instrument seeds only that instrument's streams,
+        # still each device's own spawned child (power 0, delay 1).
+        base = FingerprintCampaign.random_stimuli(nm=6, seed=11)
+        benches = []
+        for _ in range(2):
+            bench = base.silicon_bench(seed=99)
+            benches.append(dataclasses.replace(bench, **{instrument: None}))
+        loop = measure_population_loop(benches[0], fabricated_dies, version="TF")
+        batched = benches[1].measure_population(fabricated_dies, version="TF")
         _assert_device_lists_equal(batched, loop)
 
     def test_shared_population_full_sweep(self, fabricated_dies):
@@ -188,10 +204,12 @@ class TestMonteCarloEngineBitIdentity:
     def test_population_matches_scalar_dies(self):
         # sample_device_population consumes each per-device stream in the
         # scalar order, so the stacked die parameters and mismatch seeds are
-        # bitwise the loop's.
+        # bitwise the loop's.  Its rows are the spawned children's entropy.
         engine = self._engine()
         seeds = np.random.SeedSequence(77).spawn(6)
-        population = sample_device_population(engine.deck, seeds)
+        population = sample_device_population(
+            engine.deck, spawn_entropy([np.random.SeedSequence(77)], 6)
+        )
         for i, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
             die = engine.deck.sample_die(rng)

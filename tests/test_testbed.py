@@ -9,6 +9,7 @@ from repro.crypto.bits import bytes_to_bits, random_key
 from repro.process.parameters import nominal_350nm
 from repro.silicon.foundry import Foundry
 from repro.silicon.pcm import PCMSuite
+from repro.testbed import campaign as campaign_module
 from repro.testbed.campaign import FingerprintCampaign
 from repro.testbed.chip import WirelessCryptoChip
 from repro.testbed.serializer import SerializationBuffer
@@ -113,6 +114,30 @@ class TestCampaign:
         bench = campaign.silicon_bench(seed=2)
         assert bench.key == campaign.key
         assert bench.plaintexts == campaign.plaintexts
+
+    def test_blocks_encrypted_once_per_campaign(self, monkeypatch):
+        calls = []
+        encrypt = campaign_module.aes128_encrypt_blocks
+
+        def counting(key, blocks):
+            calls.append(blocks.shape)
+            return encrypt(key, blocks)
+
+        monkeypatch.setattr(campaign_module, "aes128_encrypt_blocks", counting)
+        deck = default_spice_deck()
+        foundry = Foundry(deck_nominal=deck.nominal, variation=deck.variation, seed=0)
+        dies = foundry.fabricate_lot(3)
+        campaign = FingerprintCampaign.random_stimuli(nm=4, seed=1)
+        bench = campaign.silicon_bench(seed=2)
+        for target in (campaign, bench, campaign):
+            target.measure_population(dies)
+            target.measure_population(dies, trojan=AmplitudeModulationTrojan(), version="T1")
+        assert calls == [(4, 16)]
+        assert bench.cipher_bits is campaign.cipher_bits
+        assert not campaign.cipher_bits.flags.writeable
+        blocks = np.frombuffer(b"".join(campaign.plaintexts), dtype=np.uint8)
+        expected = np.unpackbits(encrypt(campaign.key, blocks.reshape(4, 16)), axis=1)
+        np.testing.assert_array_equal(campaign.cipher_bits, expected)
 
     def test_measure_device_labels_and_truth(self):
         deck = default_spice_deck()
