@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.core.datasets import train_regressions
 from repro.crypto.aes import aes128_encrypt_blocks
+from repro.experiments.platformcfg import SIM_NOISE
 from repro.learn.ocsvm import OneClassSvm
 from repro.stats.kde import AdaptiveKde
 from repro.stats.kmm import KernelMeanMatcher
@@ -43,18 +44,16 @@ def test_ocsvm_fit(benchmark):
     assert svm.rho_ is not None
 
 
-def test_mars_regression_fit(benchmark, paper_data, bench_config):
+def test_mars_regression_fit(benchmark, paper_data):
     model = benchmark(
-        lambda: train_regressions(
-            paper_data.sim_pcms, paper_data.sim_fingerprints, bench_config
-        )
+        lambda: train_regressions(paper_data.sim_pcms, paper_data.sim_fingerprints)
     )
     assert model.predict(paper_data.sim_pcms).shape == paper_data.sim_fingerprints.shape
 
 
 def test_kmm_weights(benchmark, paper_data):
     matcher = benchmark(
-        lambda: KernelMeanMatcher(B=10.0).fit(paper_data.sim_pcms, paper_data.dutt_pcms)
+        lambda: KernelMeanMatcher().fit(paper_data.sim_pcms, paper_data.dutt_pcms)
     )
     assert matcher.weights.shape[0] == paper_data.sim_pcms.shape[0]
 
@@ -73,7 +72,7 @@ def test_mc_run_batched(benchmark):
     """The Monte Carlo engine at the gated fixture size."""
     deck = default_spice_deck()
     campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0)
-    engine = MonteCarloEngine(deck, campaign, numerical_noise=0.0015)
+    engine = MonteCarloEngine(deck, campaign, numerical_noise=SIM_NOISE)
 
     result = benchmark(lambda: engine.run(100, seed=0))
     assert result.pcms.shape[0] == 100

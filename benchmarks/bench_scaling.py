@@ -31,11 +31,12 @@ def run_scaling(sizes: List[int], repeats: int = 2) -> List[dict]:
     """Best-of-``repeats`` wall time at every size; one row dict per size."""
     from repro.circuits.montecarlo import MonteCarloEngine
     from repro.circuits.spicemodel import default_spice_deck
+    from repro.experiments.platformcfg import SIM_NOISE
     from repro.testbed.campaign import FingerprintCampaign
 
     campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0)
     engine = MonteCarloEngine(default_spice_deck(), campaign,
-                              numerical_noise=0.0015)
+                              numerical_noise=SIM_NOISE)
     engine.run(50, seed=0)  # warm imports, tables and caches
 
     rows = []

@@ -39,7 +39,7 @@ def main() -> None:
     shifted = sim + (silicon.mean(axis=0) - sim.mean(axis=0))
     describe("plain mean shift", shifted, silicon)
 
-    matcher = KernelMeanMatcher(B=10.0).fit(sim, silicon)
+    matcher = KernelMeanMatcher().fit(sim, silicon)
     resampled = importance_resample(sim, matcher.weights, 200, rng=0)
     kmm = describe("KMM importance resample", resampled, silicon)
     print(f"\n  KMM effective sample size: {matcher.effective_sample_size():.1f} "
@@ -55,7 +55,7 @@ def main() -> None:
     print("\nEffective sample size vs drift (degeneracy warning):")
     for drift in (0.2, 0.45, 0.8, 1.2):
         d = generate_experiment_data(replace(PlatformConfig(), drift_scale=drift))
-        m = KernelMeanMatcher(B=10.0).fit(d.sim_pcms, d.dutt_pcms)
+        m = KernelMeanMatcher().fit(d.sim_pcms, d.dutt_pcms)
         ess = m.effective_sample_size()
         note = "ok" if ess >= 7 else "DEGENERATE: silicon near the edge of the simulated support"
         print(f"  drift {drift:4.2f}: ESS = {ess:5.1f}   [{note}]")

@@ -71,7 +71,11 @@ def build_cases() -> Dict[str, Callable[[], object]]:
     from repro.crypto.aes import aes128_encrypt_blocks
     from repro.core.config import DetectorConfig
     from repro.core.datasets import train_regressions
-    from repro.experiments.platformcfg import PlatformConfig, generate_experiment_data
+    from repro.experiments.platformcfg import (
+        SIM_NOISE,
+        PlatformConfig,
+        generate_experiment_data,
+    )
     from repro.core.pipeline import GoldenChipFreeDetector
     from repro.experiments.table1 import run_table1
     from repro.learn.mars import MarsRegression
@@ -90,7 +94,7 @@ def build_cases() -> Dict[str, Callable[[], object]]:
     sample_kde = AdaptiveKde(alpha=0.5).fit(data.sim_fingerprints)
     deck = default_spice_deck()
     sim_campaign = FingerprintCampaign.random_stimuli(nm=6, seed=0)
-    engine = MonteCarloEngine(deck, sim_campaign, numerical_noise=0.0015)
+    engine = MonteCarloEngine(deck, sim_campaign, numerical_noise=SIM_NOISE)
     # A forward-pass-only workload larger than one Table-1 regression, so
     # the incremental engine's candidate scoring dominates the timing.
     mars_x = rng.uniform(-2.0, 2.0, size=(400, 6))
@@ -122,13 +126,9 @@ def build_cases() -> Dict[str, Callable[[], object]]:
         "kde_density": lambda: AdaptiveKde(alpha=0.5).fit(kde_train).density(kde_eval),
         "kde_sample": lambda: sample_kde.sample(100_000, rng=0),
         "ocsvm_fit": lambda: OneClassSvm(nu=0.08, seed=0).fit(svm_train),
-        "mars_fit": lambda: train_regressions(
-            data.sim_pcms, data.sim_fingerprints, bench_detector
-        ),
+        "mars_fit": lambda: train_regressions(data.sim_pcms, data.sim_fingerprints),
         "mars_forward": lambda: forward_model._forward_pass(mars_x, mars_y),
-        "kmm_weights": lambda: KernelMeanMatcher(B=10.0).fit(
-            data.sim_pcms, data.dutt_pcms
-        ),
+        "kmm_weights": lambda: KernelMeanMatcher().fit(data.sim_pcms, data.dutt_pcms),
         "mc_run_batched": lambda: engine.run(100, seed=0),
         "aes_batch": lambda: aes128_encrypt_blocks(aes_key, aes_blocks),
         "table1": lambda: run_table1(detector_config=bench_detector, data=data),

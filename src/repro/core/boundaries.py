@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.config import drop_retired_keys
+from repro.core.config import FLOOR_RATIO, drop_retired_keys
 from repro.learn.ocsvm import OneClassSvm
 from repro.obs.trace import span
 from repro.stats.preprocessing import Whitener
@@ -44,13 +44,19 @@ class TrustedRegion:
     name:
         Boundary label (``"B1"``..``"B5"`` in the paper flow).
     nu / gamma:
-        One-class SVM parameters (gamma ``None`` = median heuristic in
-        whitened space).
+        One-class SVM parameters: ν is the outlier budget (the paper
+        pipeline's 0.08), gamma ``None`` the median heuristic in whitened
+        space.
     floor_ratio:
         Relative eigenvalue floor of the whitener.
     noise_floor_rel:
-        Absolute whitener floor as a fraction of the training population's
-        mean fingerprint magnitude (encodes bench measurement noise).
+        Absolute whitener floor, as a fraction of the training population's
+        mean fingerprint magnitude.  This encodes the bench measurement-noise
+        level: directions of the golden population with less spread than
+        the noise floor are resolved only down to the floor, so noisy golden
+        devices stay inside the boundary while Trojan-induced off-manifold
+        displacement (several times the noise) stays outside.  Default:
+        twice the power meter's 0.15 % gain noise.
     max_training_samples:
         Subsampling cap passed to the SVM.
     seed:
@@ -68,10 +74,10 @@ class TrustedRegion:
     def __init__(
         self,
         name: str = "B",
-        nu: float = 0.05,
+        nu: float = 0.08,
         gamma: Optional[float] = None,
-        floor_ratio: float = 2e-3,
-        noise_floor_rel: float = 0.0,
+        floor_ratio: float = FLOOR_RATIO,
+        noise_floor_rel: float = 0.007,
         max_training_samples: int = 1500,
         seed: SeedLike = None,
         learner=None,

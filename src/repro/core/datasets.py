@@ -23,7 +23,14 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core.config import DetectorConfig
+from repro.core.config import (
+    FLOOR_RATIO,
+    KDE_BANDWIDTH_SCALE,
+    KMM_RESAMPLE_SIZE,
+    MARS_MAX_TERMS,
+    MARS_PENALTY,
+    DetectorConfig,
+)
 from repro.learn.latent import LatentGainMars
 from repro.stats.kde import AdaptiveKde
 from repro.stats.kmm import KernelMeanMatcher, importance_resample
@@ -52,23 +59,19 @@ class DatasetBundle:
         return [name for name in ("S1", "S2", "S3", "S4", "S5") if name in self.sets]
 
 
-def train_regressions(sim_pcms, sim_fingerprints, config: DetectorConfig,
-                      regression=LatentGainMars):
+def train_regressions(sim_pcms, sim_fingerprints, regression=LatentGainMars):
     """Learn the MARS regressions ``g : m_p -> m`` on simulation data.
 
-    ``regression`` is the multi-output model class, built from the config's
-    MARS fields: the consistent latent-gain model by default (ablation A5
-    passes the paper-literal per-output
+    ``regression`` is the multi-output model class, built with
+    :data:`~repro.core.config.MARS_MAX_TERMS` terms and
+    :data:`~repro.core.config.MARS_PENALTY`: the consistent latent-gain
+    model by default (ablation A5 passes the paper-literal per-output
     :class:`~repro.learn.mars.MultiOutputMars`).
     """
     sim_pcms = check_2d(sim_pcms, "sim_pcms")
     sim_fingerprints = check_2d(sim_fingerprints, "sim_fingerprints")
     check_matching_rows(sim_pcms, sim_fingerprints, "sim_pcms", "sim_fingerprints")
-    model = regression(
-        max_terms=config.mars_max_terms,
-        max_degree=config.mars_max_degree,
-        penalty=config.mars_penalty,
-    )
+    model = regression(max_terms=MARS_MAX_TERMS, penalty=MARS_PENALTY)
     return model.fit(sim_pcms, sim_fingerprints)
 
 
@@ -88,9 +91,8 @@ def tail_enhance(population, config: DetectorConfig, rng: SeedLike = None) -> np
     # to the trusted region for free.)
     kde = AdaptiveKde(
         alpha=config.kde_alpha,
-        bandwidth=config.kde_bandwidth,
-        bandwidth_scale=config.kde_bandwidth_scale,
-        floor_ratio=config.floor_ratio,
+        bandwidth_scale=KDE_BANDWIDTH_SCALE,
+        floor_ratio=FLOOR_RATIO,
     ).fit(population)
     return kde.sample(config.kde_samples, rng=as_generator(rng))
 
@@ -104,23 +106,22 @@ def build_s3(regressions, silicon_pcms) -> np.ndarray:
 def shift_pcm_population(
     sim_pcms,
     silicon_pcms,
-    config: DetectorConfig,
     rng: SeedLike = None,
 ) -> np.ndarray:
     """The kernel-mean-shifted PCM population m''_p (Section 2.4).
 
     KMM computes importance weights that match the simulated PCM population
     to the silicon PCM distribution; importance resampling then produces an
-    unweighted shifted population of ``config.kmm_resample_size`` samples.
+    unweighted shifted population of
+    :data:`~repro.core.config.KMM_RESAMPLE_SIZE` samples.
     Because the Monte Carlo population is wider than a single-lot DUTT
     population, m''_p spreads wider than the silicon PCMs themselves.
     """
     sim_pcms = check_2d(sim_pcms, "sim_pcms")
     silicon_pcms = check_2d(silicon_pcms, "silicon_pcms")
-    matcher = KernelMeanMatcher(B=config.kmm_B, eps=config.kmm_eps, gamma=config.kmm_gamma)
-    matcher.fit(sim_pcms, silicon_pcms)
+    matcher = KernelMeanMatcher().fit(sim_pcms, silicon_pcms)
     return importance_resample(
-        sim_pcms, matcher.weights, config.kmm_resample_size, rng=as_generator(rng)
+        sim_pcms, matcher.weights, KMM_RESAMPLE_SIZE, rng=as_generator(rng)
     )
 
 
@@ -128,9 +129,8 @@ def build_s4(
     regressions,
     sim_pcms,
     silicon_pcms,
-    config: DetectorConfig,
     rng: SeedLike = None,
 ) -> np.ndarray:
     """S4: fingerprints predicted from the KMM-shifted simulated PCMs."""
-    shifted = shift_pcm_population(sim_pcms, silicon_pcms, config, rng=rng)
+    shifted = shift_pcm_population(sim_pcms, silicon_pcms, rng=rng)
     return regressions.predict(shifted)

@@ -23,15 +23,15 @@ from repro.utils.validation import check_2d
 class GoldenReferenceDetector:
     """One-class trusted region trained directly on golden-chip fingerprints.
 
-    Uses the same boundary machinery (whitening with a noise floor + ν-SVM)
-    and the same configuration knobs as the golden chip-free pipeline, so
+    Uses the same boundary machinery (whitening with a noise floor + ν-SVM,
+    at the same defaults) as the golden chip-free pipeline, so
     comparisons isolate exactly one variable: where the training population
     comes from.
 
     Parameters
     ----------
     config:
-        Shared detector configuration (ν, gamma, floors, subsampling).
+        Shared detector configuration (SVM subsampling cap and seed).
     """
 
     def __init__(self, config: Optional[DetectorConfig] = None):
@@ -42,12 +42,7 @@ class GoldenReferenceDetector:
         """Learn the trusted region from measured golden-chip fingerprints."""
         golden_fingerprints = check_2d(golden_fingerprints, "golden_fingerprints")
         self._region = TrustedRegion(
-            name="golden",
-            nu=self.config.svm_nu,
-            gamma=self.config.svm_gamma,
-            floor_ratio=self.config.floor_ratio,
-            noise_floor_rel=self.config.noise_floor_rel,
-            max_training_samples=self.config.svm_max_training_samples,
+            "golden", max_training_samples=self.config.svm_max_training_samples,
             seed=self.config.seed,
         ).fit(golden_fingerprints)
         return self

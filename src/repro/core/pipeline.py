@@ -91,7 +91,7 @@ class GoldenChipFreeDetector:
             self.n_fingerprint_features_ = int(sim_fingerprints.shape[1])
             with span("regression.train", model=self.regression.__name__):
                 self.regressions_ = train_regressions(
-                    sim_pcms, sim_fingerprints, self.config, self.regression
+                    sim_pcms, sim_fingerprints, self.regression
                 )
 
             self.datasets.sets["S1"] = build_s1(sim_fingerprints)
@@ -127,8 +127,7 @@ class GoldenChipFreeDetector:
                 self.datasets.sets["S3"] = build_s3(self.regressions_, dutt_pcms)
             with span("dataset.build", dataset="S4"):
                 self.datasets.sets["S4"] = build_s4(
-                    self.regressions_, self._sim_pcms, dutt_pcms,
-                    self.config, rng=self._rngs[1],
+                    self.regressions_, self._sim_pcms, dutt_pcms, rng=self._rngs[1]
                 )
             with span("dataset.build", dataset="S5"):
                 self.datasets.sets["S5"] = tail_enhance(
@@ -139,12 +138,7 @@ class GoldenChipFreeDetector:
 
     def _new_region(self, name: str) -> TrustedRegion:
         return TrustedRegion(
-            name=name,
-            nu=self.config.svm_nu,
-            gamma=self.config.svm_gamma,
-            floor_ratio=self.config.floor_ratio,
-            noise_floor_rel=self.config.noise_floor_rel,
-            max_training_samples=self.config.svm_max_training_samples,
+            name, max_training_samples=self.config.svm_max_training_samples,
             seed=self._rngs[3 + BOUNDARY_NAMES.index(name)],
         )
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.core.boundaries import TrustedRegion
-from repro.core.config import DetectorConfig
+from repro.core.config import KMM_RESAMPLE_SIZE, DetectorConfig
 from repro.core.datasets import build_s4, tail_enhance, train_regressions
 from repro.core.metrics import evaluate_detection
 from repro.core.pipeline import GoldenChipFreeDetector
@@ -84,36 +84,37 @@ def _fitted_detector(data: ExperimentData, config: DetectorConfig,
     return detector
 
 
+def _region(name: str, config: DetectorConfig, rng) -> TrustedRegion:
+    """An unfitted default boundary that subsamples from the shared ``rng``."""
+    return TrustedRegion(name, max_training_samples=config.svm_max_training_samples, seed=rng)
+
+
 def _b5_region(data: ExperimentData, config: DetectorConfig, **kwargs) -> TrustedRegion:
     """The final boundary B5 of a detector fitted with ``config``."""
     return _fitted_detector(data, config, **kwargs).boundaries["B5"]
 
 
 def ablate_kde(
-    data: Optional[ExperimentData] = None,
+    *,
+    data: ExperimentData,
+    base_config: DetectorConfig,
     alphas=(0.0, 0.25, 0.5, 1.0),
     sample_sizes=(1_000, 10_000, 100_000),
-    base_config: Optional[DetectorConfig] = None,
 ) -> List[AblationRow]:
     """A1: sweep the adaptive-KDE alpha and synthetic volume M' for B5."""
-    data = data or generate_experiment_data(PlatformConfig())
-    base = base_config or DetectorConfig(svm_max_training_samples=1000)
     rows = []
     for alpha in alphas:
-        config = replace(base, kde_alpha=float(alpha))
+        config = replace(base_config, kde_alpha=float(alpha))
         region = _b5_region(data, config)
         rows.append(_evaluate_region(region, data, f"B5 with alpha={alpha}"))
     for size in sample_sizes:
-        config = replace(base, kde_samples=int(size))
+        config = replace(base_config, kde_samples=int(size))
         region = _b5_region(data, config)
         rows.append(_evaluate_region(region, data, f"B5 with M'={size}"))
     return rows
 
 
-def ablate_kmm(
-    data: Optional[ExperimentData] = None,
-    base_config: Optional[DetectorConfig] = None,
-) -> List[AblationRow]:
+def ablate_kmm(*, data: ExperimentData, base_config: DetectorConfig) -> List[AblationRow]:
     """A2: KMM vs naive alternatives for the shifted PCM population.
 
     Variants (all feed the same regression + KDE + boundary machinery):
@@ -122,23 +123,12 @@ def ablate_kmm(
     * ``mean shift`` — translate simulated PCMs by the mean difference;
     * ``KMM`` — the paper's kernel mean matching (the pipeline default).
     """
-    data = data or generate_experiment_data(PlatformConfig())
-    config = base_config or DetectorConfig(svm_max_training_samples=1000)
-    rng = as_generator(config.seed)
-    regressions = train_regressions(data.sim_pcms, data.sim_fingerprints, config)
+    rng = as_generator(base_config.seed)
+    regressions = train_regressions(data.sim_pcms, data.sim_fingerprints)
 
     def region_from_pcms(pcms, label):
-        s4 = regressions.predict(pcms)
-        s5 = tail_enhance(s4, config, rng=rng)
-        region = TrustedRegion(
-            name=label,
-            nu=config.svm_nu,
-            gamma=config.svm_gamma,
-            floor_ratio=config.floor_ratio,
-            noise_floor_rel=config.noise_floor_rel,
-            max_training_samples=config.svm_max_training_samples,
-            seed=rng,
-        ).fit(s5)
+        s5 = tail_enhance(regressions.predict(pcms), base_config, rng=rng)
+        region = _region(label, base_config, rng).fit(s5)
         return _evaluate_region(region, data, label)
 
     rows = [region_from_pcms(data.sim_pcms, "B5 via no shift")]
@@ -146,19 +136,17 @@ def ablate_kmm(
     delta = data.dutt_pcms.mean(axis=0) - data.sim_pcms.mean(axis=0)
     rows.append(region_from_pcms(data.sim_pcms + delta, "B5 via plain mean shift"))
 
-    matcher = KernelMeanMatcher(B=config.kmm_B, eps=config.kmm_eps, gamma=config.kmm_gamma)
-    matcher.fit(data.sim_pcms, data.dutt_pcms)
-    shifted = importance_resample(
-        data.sim_pcms, matcher.weights, config.kmm_resample_size, rng=rng
-    )
+    matcher = KernelMeanMatcher().fit(data.sim_pcms, data.dutt_pcms)
+    shifted = importance_resample(data.sim_pcms, matcher.weights, KMM_RESAMPLE_SIZE, rng=rng)
     rows.append(region_from_pcms(shifted, "B5 via KMM (paper)"))
     return rows
 
 
 def ablate_kmm_bandwidth(
-    data: Optional[ExperimentData] = None,
+    *,
+    data: ExperimentData,
+    base_config: DetectorConfig,
     gamma_scales=(0.25, 0.5, 1.0, 2.0, 4.0),
-    base_config: Optional[DetectorConfig] = None,
 ) -> List[AblationRow]:
     """A2b: sensitivity of the KMM calibration to the kernel bandwidth.
 
@@ -166,33 +154,18 @@ def ablate_kmm_bandwidth(
     one :class:`KmmProblem`, so the pooled pairwise distances are computed
     once for the whole sweep.
     """
-    data = data or generate_experiment_data(PlatformConfig())
-    config = base_config or DetectorConfig(svm_max_training_samples=1000)
-    rng = as_generator(config.seed)
-    regressions = train_regressions(data.sim_pcms, data.sim_fingerprints, config)
+    rng = as_generator(base_config.seed)
+    regressions = train_regressions(data.sim_pcms, data.sim_fingerprints)
 
     problem = KmmProblem(data.sim_pcms, data.dutt_pcms)
     median = problem.median_gamma()
-    matchers = problem.sweep(
-        [scale * median for scale in gamma_scales],
-        B=config.kmm_B, eps=config.kmm_eps,
-    )
+    matchers = problem.sweep([scale * median for scale in gamma_scales])
 
     rows = []
     for scale, matcher in zip(gamma_scales, matchers):
-        shifted = importance_resample(
-            data.sim_pcms, matcher.weights, config.kmm_resample_size, rng=rng
-        )
-        s5 = tail_enhance(regressions.predict(shifted), config, rng=rng)
-        region = TrustedRegion(
-            name=f"gamma x{scale}",
-            nu=config.svm_nu,
-            gamma=config.svm_gamma,
-            floor_ratio=config.floor_ratio,
-            noise_floor_rel=config.noise_floor_rel,
-            max_training_samples=config.svm_max_training_samples,
-            seed=rng,
-        ).fit(s5)
+        shifted = importance_resample(data.sim_pcms, matcher.weights, KMM_RESAMPLE_SIZE, rng=rng)
+        s5 = tail_enhance(regressions.predict(shifted), base_config, rng=rng)
+        region = _region(f"gamma x{scale}", base_config, rng).fit(s5)
         rows.append(_evaluate_region(
             region, data,
             f"B5 with KMM gamma = {scale} x median "
@@ -202,18 +175,18 @@ def ablate_kmm_bandwidth(
 
 
 def ablate_design(
+    *,
+    base_config: DetectorConfig,
     n_monte_carlo=(25, 50, 100, 200),
     pcm_counts=(1, 2, 3),
     base_platform: Optional[PlatformConfig] = None,
-    base_config: Optional[DetectorConfig] = None,
 ) -> List[AblationRow]:
     """A3: Monte Carlo size and PCM count sweeps (new data per point)."""
     platform = base_platform or PlatformConfig()
-    config = base_config or DetectorConfig(svm_max_training_samples=1000)
     rows = []
     for n in n_monte_carlo:
         data = generate_experiment_data(replace(platform, n_monte_carlo=int(n)))
-        region = _b5_region(data, config)
+        region = _b5_region(data, base_config)
         rows.append(_evaluate_region(region, data, f"B5 with n_mc={n}"))
     suite_by_count = {1: "paper", 2: "extended", 3: "full"}
     for np_count in pcm_counts:
@@ -222,38 +195,35 @@ def ablate_design(
         data = generate_experiment_data(
             replace(platform, pcm_suite_name=suite_by_count[np_count])
         )
-        region = _b5_region(data, config)
+        region = _b5_region(data, base_config)
         rows.append(_evaluate_region(region, data, f"B5 with np={np_count}"))
     return rows
 
 
 def ablate_regression_mode(
-    data: Optional[ExperimentData] = None,
-    base_config: Optional[DetectorConfig] = None,
+    *, data: ExperimentData, base_config: DetectorConfig
 ) -> List[AblationRow]:
     """A5: latent-gain (default) vs independent per-output MARS regression."""
-    data = data or generate_experiment_data(PlatformConfig())
-    config = base_config or DetectorConfig(svm_max_training_samples=1000)
     rows = []
     for label, regression in (("latent_gain", LatentGainMars),
                               ("independent", MultiOutputMars)):
-        region = _b5_region(data, config, regression=regression)
+        region = _b5_region(data, base_config, regression=regression)
         rows.append(_evaluate_region(region, data, f"B5 with {label} regression"))
     return rows
 
 
 def ablate_drift(
+    *,
+    base_config: DetectorConfig,
     drift_scales=(0.0, 0.25, 0.45, 0.7, 1.0),
     base_platform: Optional[PlatformConfig] = None,
-    base_config: Optional[DetectorConfig] = None,
 ) -> Dict[str, List[AblationRow]]:
     """A4: process-drift sweep — how B1 and B5 degrade with the shift."""
     platform = base_platform or PlatformConfig()
-    config = base_config or DetectorConfig(svm_max_training_samples=1000)
     out: Dict[str, List[AblationRow]] = {"B1": [], "B5": []}
     for scale in drift_scales:
         data = generate_experiment_data(replace(platform, drift_scale=float(scale)))
-        detector = _fitted_detector(data, config)
+        detector = _fitted_detector(data, base_config)
         for name in ("B1", "B5"):
             out[name].append(
                 _evaluate_region(
@@ -264,59 +234,45 @@ def ablate_drift(
 
 
 def ablate_boundary_method(
-    data: Optional[ExperimentData] = None,
-    base_config: Optional[DetectorConfig] = None,
+    *, data: ExperimentData, base_config: DetectorConfig
 ) -> List[AblationRow]:
     """A7a: one-class SVM vs Mahalanobis envelope as the learner of B5.
 
     Both learners are fitted on the same S5 population, that of one default
-    detector, so the rows differ only by the classifier.
+    detector, with the same outlier budget (the envelope's contamination is
+    the SVM's ν), so the rows differ only by the classifier.
     """
-    data = data or generate_experiment_data(PlatformConfig())
-    config = base_config or DetectorConfig(svm_max_training_samples=1000)
-    detector = _fitted_detector(data, config)
+    detector = _fitted_detector(data, base_config)
+    b5 = detector.boundaries["B5"]
     envelope = TrustedRegion(
-        name="B5",
-        floor_ratio=config.floor_ratio,
-        noise_floor_rel=config.noise_floor_rel,
-        learner=EllipticEnvelope(contamination=config.svm_nu),
+        "B5", learner=EllipticEnvelope(contamination=b5.svm.nu)
     ).fit(detector.datasets["S5"])
     return [
-        _evaluate_region(detector.boundaries["B5"], data, "B5 with ocsvm boundary"),
+        _evaluate_region(b5, data, "B5 with ocsvm boundary"),
         _evaluate_region(envelope, data, "B5 with mahalanobis boundary"),
     ]
 
 
 def ablate_tail_enhancer(
-    data: Optional[ExperimentData] = None,
-    base_config: Optional[DetectorConfig] = None,
+    *, data: ExperimentData, base_config: DetectorConfig
 ) -> List[AblationRow]:
     """A7b: adaptive-KDE vs generalized-Pareto tail enhancement for S5.
 
     Both enhancers are fed the same S4 population; the resulting synthetic
     sets train identical boundary learners.
     """
-    data = data or generate_experiment_data(PlatformConfig())
-    config = base_config or DetectorConfig(svm_max_training_samples=1000)
-    rng = as_generator(config.seed)
-    regressions = train_regressions(data.sim_pcms, data.sim_fingerprints, config)
-    s4 = build_s4(regressions, data.sim_pcms, data.dutt_pcms, config, rng=rng)
+    rng = as_generator(base_config.seed)
+    regressions = train_regressions(data.sim_pcms, data.sim_fingerprints)
+    s4 = build_s4(regressions, data.sim_pcms, data.dutt_pcms, rng=rng)
 
     def region_from(s5, label):
-        region = TrustedRegion(
-            name=label,
-            nu=config.svm_nu,
-            gamma=config.svm_gamma,
-            floor_ratio=config.floor_ratio,
-            noise_floor_rel=config.noise_floor_rel,
-            max_training_samples=config.svm_max_training_samples,
-            seed=rng,
-        ).fit(s5)
+        region = _region(label, base_config, rng).fit(s5)
         return _evaluate_region(region, data, label)
 
-    rows = [region_from(tail_enhance(s4, config, rng=rng), "B5 via adaptive KDE (paper)")]
-    gpd = GpdTailEnhancer().fit(s4)
-    rows.append(region_from(gpd.sample(config.kde_samples, rng=rng), "B5 via GPD radial tail"))
+    kde_s5 = tail_enhance(s4, base_config, rng=rng)
+    rows = [region_from(kde_s5, "B5 via adaptive KDE (paper)")]
+    gpd_s5 = GpdTailEnhancer().fit(s4).sample(base_config.kde_samples, rng=rng)
+    rows.append(region_from(gpd_s5, "B5 via GPD radial tail"))
     return rows
 
 

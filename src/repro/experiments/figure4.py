@@ -22,7 +22,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.config import DetectorConfig
+from repro.core.config import FLOOR_RATIO, DetectorConfig
 from repro.core.pipeline import GoldenChipFreeDetector
 from repro.experiments.platformcfg import (
     ExperimentData,
@@ -120,7 +120,7 @@ def run_figure4(
     # Reference frames: PCA of all fabricated devices for the projections
     # (as in the paper's panel (a)); whitened TF cloud for geometry numbers.
     pca = PrincipalComponentAnalysis(n_components=3).fit(data.dutt_fingerprints)
-    whitener = Whitener(floor_ratio=detector.config.floor_ratio).fit(tf)
+    whitener = Whitener(floor_ratio=FLOOR_RATIO).fit(tf)
 
     tf_w = whitener.transform(tf)
     ti_w = whitener.transform(ti)

@@ -32,67 +32,60 @@ from repro.trojans.frequency import FrequencyModulationTrojan
 from repro.utils.rng import spawn_children
 
 
+#: Relative jitter of simulated measurements: post-layout Monte Carlo
+#: outputs carry extraction and numerical-convergence noise comparable to
+#: bench instrument noise.  Modelled as multiplicative gain noise on the
+#: simulated fingerprint and PCM readings.
+SIM_NOISE = 0.0015
+#: Relative gain error of the silicon PCM (e-test) measurement.  Production
+#: kerf measurements are single-shot with limited timing resolution —
+#: considerably noisier than the averaged RF power measurements of the
+#: fingerprint bench.
+PCM_NOISE = 0.05
+#: Magnitude of the systematic RF extraction error of the design kit (see
+#: :func:`rf_model_error`): the Spice model tracks digital structures but
+#: misestimates the large analog layouts.
+RF_MODEL_ERROR_SCALE = 0.35
+
+
 @dataclass
 class PlatformConfig:
     """Knobs of the synthetic silicon experiment.
 
+    The paper's fixed protocol is not configurable: ``nm = 6`` ciphertext
+    blocks (the campaign default), one fabrication lot, and the simulation,
+    PCM and RF-model error levels :data:`SIM_NOISE`, :data:`PCM_NOISE` and
+    :data:`RF_MODEL_ERROR_SCALE`.
+
     Parameters
     ----------
-    nm:
-        Number of side-channel fingerprints (transmitted ciphertext blocks).
     n_chips:
-        Fabricated chips; each hosts three design versions (TF, T-I, T-II),
-        so the DUTT population is ``3 * n_chips`` devices.
+        Fabricated chips, all from one lot; each hosts three design versions
+        (TF, T-I, T-II), so the DUTT population is ``3 * n_chips`` devices.
     n_monte_carlo:
         Simulated golden devices.
     drift_scale:
         Magnitude of the foundry operating-point drift relative to
         :meth:`OperatingPointShift.typical_drift` (0 = silicon matches the
         deck exactly).
-    rf_model_error_scale:
-        Magnitude of the systematic RF extraction error of the design kit
-        (the Spice model tracks digital structures but misestimates the
-        large analog layouts; see
-        :class:`~repro.silicon.foundry.FabricatedDie`).  1.0 means the
-        silicon PA drives ~5 % more current than any simulation predicts
-        and the pulse shaper runs ~4 % heavy on parasitics.
     trojan1_depth / trojan2_depth:
         Modulation depths of the amplitude / frequency Trojans.
-    sim_noise:
-        Relative jitter of simulated measurements: post-layout Monte Carlo
-        outputs carry extraction and numerical-convergence noise comparable
-        to bench instrument noise.  Modelled as multiplicative gain noise on
-        the simulated fingerprint and PCM readings.
-    pcm_noise:
-        Relative gain error of the silicon PCM (e-test) measurement.
-        Production kerf measurements are single-shot with limited timing
-        resolution — considerably noisier than the averaged RF power
-        measurements of the fingerprint bench.
     pcm_suite_name:
         PCM suite: ``"paper"`` (one path delay), ``"extended"`` (+ ring
         oscillator) or ``"full"`` (+ digital fmax) — ablation A3.
-    n_lots:
-        Fabrication lots the chips are spread over (paper: 1).
     seed:
         Master seed of the whole experiment.
     """
 
-    nm: int = 6
     n_chips: int = 40
     n_monte_carlo: int = 100
     drift_scale: float = 0.45
-    rf_model_error_scale: float = 0.35
     trojan1_depth: float = 0.17
     trojan2_depth: float = 0.17
-    sim_noise: float = 0.0015
-    pcm_noise: float = 0.05
     pcm_suite_name: str = "paper"
-    n_lots: int = 1
     seed: int = 16
 
     def __post_init__(self):
-        if self.nm < 1:
-            raise ValueError(f"nm must be positive, got {self.nm}")
         if self.n_chips < 2:
             raise ValueError(f"n_chips must be >= 2, got {self.n_chips}")
         if self.n_monte_carlo < 10:
@@ -140,14 +133,13 @@ class ExperimentData:
         return self.dutt_fingerprints[mask]
 
 
-def build_deck(config: PlatformConfig) -> SpiceDeck:
-    """The trusted simulation deck used by the experiment."""
-    _ = config
-    return default_spice_deck()
-
-
 def rf_model_error(scale: float) -> dict:
-    """Structure-specific silicon-vs-model discrepancy of the RF chain."""
+    """Structure-specific silicon-vs-model discrepancy of the RF chain.
+
+    At ``scale`` 1.0 the silicon PA drives ~5 % more current than any
+    simulation predicts and the pulse shaper runs ~4 % heavy on parasitics
+    (see :class:`~repro.silicon.foundry.FabricatedDie`).
+    """
     return {
         "uwb_pa": {"mobility_n": +0.05 * scale},
         "uwb_shaper": {"cpar": +0.04 * scale},
@@ -160,7 +152,7 @@ def build_foundry(config: PlatformConfig, deck: SpiceDeck, seed) -> Foundry:
         deck_nominal=deck.nominal,
         variation=deck.variation,
         shift=OperatingPointShift.typical_drift(scale=config.drift_scale),
-        analog_model_error=rf_model_error(config.rf_model_error_scale),
+        analog_model_error=rf_model_error(RF_MODEL_ERROR_SCALE),
         seed=seed,
     )
 
@@ -183,32 +175,28 @@ def generate_experiment_data(config: Optional[PlatformConfig] = None) -> Experim
             "extended": PCMSuite.extended,
             "full": PCMSuite.full,
         }[config.pcm_suite_name]()
-        deck = build_deck(config)
+        deck = default_spice_deck()
 
         # The campaign's stimuli feed both halves.
         sim_campaign = FingerprintCampaign.random_stimuli(
-            nm=config.nm, seed=rng_campaign, pcm_suite=pcm_suite
+            seed=rng_campaign, pcm_suite=pcm_suite
         )
 
         # ---- pre-manufacturing: Monte Carlo over the deck.  The simulator
         # has no bench instruments, but post-layout MC output carries
         # numerical / extraction jitter; modelled as small multiplicative
         # noise. ----
-        engine = MonteCarloEngine(
-            deck, sim_campaign, numerical_noise=config.sim_noise
-        )
+        engine = MonteCarloEngine(deck, sim_campaign, numerical_noise=SIM_NOISE)
         mc = engine.run(config.n_monte_carlo, seed=rng_mc)
 
         # ---- silicon: fabrication at the drifted operating point, then the
         # bench sweep with the same frozen stimuli and noisy instruments ----
-        bench = sim_campaign.silicon_bench(seed=rng_bench, pcm_noise=config.pcm_noise)
+        bench = sim_campaign.silicon_bench(seed=rng_bench, pcm_noise=PCM_NOISE)
 
         foundry = build_foundry(config, deck, seed=rng_foundry)
         # One population for the three versions: they are the same
         # dies, so the per-structure mismatch draws are made once.
-        population = DiePopulation.from_dies(
-            foundry.fabricate(config.n_chips, n_lots=config.n_lots)
-        )
+        population = DiePopulation.from_dies(foundry.fabricate(config.n_chips))
         trojans = [
             (None, "TF"),
             (AmplitudeModulationTrojan(depth=config.trojan1_depth), "T1"),

@@ -145,15 +145,10 @@ class Foundry:
             )
         return dies
 
-    def fabricate(self, n_dies: int, n_lots: int = 1) -> List[FabricatedDie]:
-        """Fabricate ``n_dies`` total across ``n_lots`` lots (round-robin)."""
-        if n_lots <= 0:
-            raise ValueError(f"n_lots must be positive, got {n_lots}")
-        per_lot = [n_dies // n_lots] * n_lots
-        for i in range(n_dies % n_lots):
-            per_lot[i] += 1
-        dies: List[FabricatedDie] = []
-        for count in per_lot:
-            if count > 0:
-                dies.extend(self.fabricate_lot(count))
-        return dies
+    def fabricate(self, n_dies: int) -> List[FabricatedDie]:
+        """Fabricate ``n_dies`` dies in one new lot.
+
+        The experiment platform fabricates through this name; the traced
+        repo benchmark (``perfbench``) times platform synthesis by wrapping it.
+        """
+        return self.fabricate_lot(n_dies)

@@ -194,7 +194,7 @@ class KmmProblem:
         """The pooled RBF kernel at ``gamma`` (a fresh buffer per call)."""
         return rbf_from_sq_dists(self.sq_dists_.copy(), gamma)
 
-    def sweep(self, gammas: Sequence[float], B: float = 1000.0,
+    def sweep(self, gammas: Sequence[float], B: float = 10.0,
               eps: Optional[float] = None) -> List["KernelMeanMatcher"]:
         """Fit one matcher per candidate bandwidth, reusing the distances.
 
@@ -217,7 +217,8 @@ class KernelMeanMatcher:
     B:
         Upper bound on individual importance weights (paper's tuning
         parameter ``B``).  Large values let the matcher concentrate mass on
-        few samples; the default of 1000 follows Gretton et al.
+        few samples; the default of 10 is the detector's calibration bound
+        (Gretton et al. use 1000).
     eps:
         Slack on the mean of the weights (paper's ``eps``).  ``None``
         selects the common heuristic ``(sqrt(n_tr) - 1) / sqrt(n_tr)``.
@@ -226,7 +227,7 @@ class KernelMeanMatcher:
         the pooled data.
     """
 
-    def __init__(self, B: float = 1000.0, eps: Optional[float] = None,
+    def __init__(self, B: float = 10.0, eps: Optional[float] = None,
                  gamma: Optional[float] = None):
         if B <= 0:
             raise ValueError(f"B must be positive, got {B}")

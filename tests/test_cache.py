@@ -70,7 +70,7 @@ class TestCodec:
         rng = np.random.default_rng(2)
         train = rng.standard_normal((300, 4))
         probe = rng.standard_normal((50, 4))
-        region = TrustedRegion(name="B1", nu=0.08, seed=0).fit(train)
+        region = TrustedRegion(name="B1", nu=0.08, noise_floor_rel=0.0, seed=0).fit(train)
         loaded = round_trip(region)
         np.testing.assert_array_equal(
             loaded.predict_trojan_free(probe), region.predict_trojan_free(probe)

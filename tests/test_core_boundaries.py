@@ -61,7 +61,7 @@ def test_noise_floor_tolerates_measurement_noise(ray_population):
 
 
 def test_decision_scores_sign_matches_prediction(ray_population):
-    region = TrustedRegion(nu=0.1, seed=0).fit(ray_population)
+    region = TrustedRegion(nu=0.1, noise_floor_rel=0.0, seed=0).fit(ray_population)
     points = np.vstack([ray_population[:10], ray_population[:5] * 2.0])
     scores = region.decision_scores(points)
     np.testing.assert_array_equal(scores >= 0, region.predict_trojan_free(points))
@@ -88,7 +88,7 @@ def test_injected_learner_is_fitted_in_whitened_space(ray_population):
             return self.radius_ - np.linalg.norm(points, axis=1)
 
     learner = MeanDistance()
-    region = TrustedRegion(learner=learner).fit(ray_population)
+    region = TrustedRegion(noise_floor_rel=0.0, learner=learner).fit(ray_population)
     assert region.svm is learner
     expected = learner.decision_function(region.whitener.transform(ray_population))
     np.testing.assert_array_equal(region.decision_scores(ray_population), expected)
@@ -153,7 +153,7 @@ class TestSubsampledWhitening:
         """When the SVM starts, no 30,000-row whitened array is alive, and
         whitening never held two population-sized arrays at once."""
         population = _large_population()
-        region = TrustedRegion(nu=0.01, seed=7)
+        region = TrustedRegion(nu=0.01, noise_floor_rel=0.0, seed=7)
         svm_fit = region.svm.fit
         seen = {}
 

@@ -1,5 +1,7 @@
 """DetectorConfig validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import RETIRED_KEYS, DetectorConfig
@@ -11,20 +13,20 @@ def test_defaults_construct():
     assert not any(hasattr(config, key) for key in RETIRED_KEYS)
 
 
+def test_fields_are_the_settable_choices():
+    names = [field.name for field in dataclasses.fields(DetectorConfig)]
+    assert names == ["kde_samples", "kde_alpha", "svm_max_training_samples", "seed"]
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
         dict(kde_samples=0),
         dict(kde_alpha=1.5),
-        dict(kde_bandwidth=-1.0),
-        dict(kde_bandwidth_scale=0.0),
-        dict(noise_floor_rel=-0.1),
-        dict(svm_nu=0.0),
-        dict(svm_nu=1.2),
-        dict(floor_ratio=2.0),
-        dict(kmm_B=0.0),
-        dict(kmm_resample_size=0),
+        dict(kde_alpha=-0.1),
+        dict(kde_alpha=float("nan")),
         dict(svm_max_training_samples=5),
+        dict(svm_max_training_samples=9),
     ],
 )
 def test_rejects_invalid(kwargs):
@@ -35,4 +37,4 @@ def test_rejects_invalid(kwargs):
 def test_accepts_boundary_values():
     DetectorConfig(kde_alpha=0.0)
     DetectorConfig(kde_alpha=1.0)
-    DetectorConfig(svm_nu=1.0)
+    DetectorConfig(kde_samples=1, svm_max_training_samples=10)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import DetectorConfig
+from repro.core.config import KMM_RESAMPLE_SIZE
 from repro.core.datasets import (
     DatasetBundle,
     build_s1,
@@ -47,20 +47,19 @@ class TestBuilders:
         # The enhanced set must cover (and exceed) the original spread.
         assert s2.std(axis=0).min() >= 0.8 * experiment_data.sim_fingerprints.std(axis=0).min()
 
-    def test_regressions_predict_reasonably(self, experiment_data, config):
+    def test_regressions_predict_reasonably(self, experiment_data):
         model = train_regressions(
-            experiment_data.sim_pcms, experiment_data.sim_fingerprints, config
+            experiment_data.sim_pcms, experiment_data.sim_fingerprints
         )
         pred = model.predict(experiment_data.sim_pcms)
         residual = experiment_data.sim_fingerprints - pred
         r2 = 1.0 - residual.var(axis=0) / experiment_data.sim_fingerprints.var(axis=0)
         assert r2.mean() > 0.5
 
-    def test_independent_mode_trains_per_output(self, experiment_data, config):
+    def test_independent_mode_trains_per_output(self, experiment_data):
         model = train_regressions(
             experiment_data.sim_pcms,
             experiment_data.sim_fingerprints,
-            config,
             regression=MultiOutputMars,
         )
         assert isinstance(model, MultiOutputMars)
@@ -68,9 +67,9 @@ class TestBuilders:
         pred = model.predict(experiment_data.sim_pcms)
         assert pred.shape == experiment_data.sim_fingerprints.shape
 
-    def test_s3_shape(self, experiment_data, config):
+    def test_s3_shape(self, experiment_data):
         model = train_regressions(
-            experiment_data.sim_pcms, experiment_data.sim_fingerprints, config
+            experiment_data.sim_pcms, experiment_data.sim_fingerprints
         )
         s3 = build_s3(model, experiment_data.dutt_pcms)
         assert s3.shape == (
@@ -78,21 +77,21 @@ class TestBuilders:
             experiment_data.sim_fingerprints.shape[1],
         )
 
-    def test_shifted_pcms_move_toward_silicon(self, experiment_data, config):
+    def test_shifted_pcms_move_toward_silicon(self, experiment_data):
         shifted = shift_pcm_population(
-            experiment_data.sim_pcms, experiment_data.dutt_pcms, config, rng=0
+            experiment_data.sim_pcms, experiment_data.dutt_pcms, rng=0
         )
-        assert shifted.shape == (config.kmm_resample_size, experiment_data.sim_pcms.shape[1])
+        assert shifted.shape == (KMM_RESAMPLE_SIZE, experiment_data.sim_pcms.shape[1])
         sim_mean = experiment_data.sim_pcms.mean()
         silicon_mean = experiment_data.dutt_pcms.mean()
         assert abs(shifted.mean() - silicon_mean) < abs(sim_mean - silicon_mean)
 
-    def test_s4_values_lie_on_regression_image(self, experiment_data, config):
+    def test_s4_values_lie_on_regression_image(self, experiment_data):
         model = train_regressions(
-            experiment_data.sim_pcms, experiment_data.sim_fingerprints, config
+            experiment_data.sim_pcms, experiment_data.sim_fingerprints
         )
         s4 = build_s4(
-            model, experiment_data.sim_pcms, experiment_data.dutt_pcms, config, rng=0
+            model, experiment_data.sim_pcms, experiment_data.dutt_pcms, rng=0
         )
         # Every S4 row must equal the prediction of SOME simulated PCM.
         all_predictions = model.predict(experiment_data.sim_pcms)
@@ -103,14 +102,14 @@ class TestBuilders:
     def test_build_all_produces_all_five(self, experiment_data, config):
         # The builders chained as the pipeline chains them, stage by stage.
         model = train_regressions(
-            experiment_data.sim_pcms, experiment_data.sim_fingerprints, config
+            experiment_data.sim_pcms, experiment_data.sim_fingerprints
         )
         bundle = DatasetBundle()
         bundle.sets["S1"] = build_s1(experiment_data.sim_fingerprints)
         bundle.sets["S2"] = tail_enhance(bundle.sets["S1"], config, rng=0)
         bundle.sets["S3"] = build_s3(model, experiment_data.dutt_pcms)
         bundle.sets["S4"] = build_s4(
-            model, experiment_data.sim_pcms, experiment_data.dutt_pcms, config, rng=0
+            model, experiment_data.sim_pcms, experiment_data.dutt_pcms, rng=0
         )
         bundle.sets["S5"] = tail_enhance(bundle.sets["S4"], config, rng=0)
         assert bundle.names() == ["S1", "S2", "S3", "S4", "S5"]

@@ -1,12 +1,14 @@
 """Synthetic experimentation platform assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.circuits.spicemodel import default_spice_deck
 from repro.experiments.platformcfg import (
     PlatformConfig,
     build_foundry,
-    build_deck,
     generate_experiment_data,
     rf_model_error,
 )
@@ -16,11 +18,17 @@ from tests.conftest import small_platform
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(nm=0), dict(n_chips=1), dict(n_monte_carlo=5), dict(drift_scale=-1.0)],
+        [dict(n_chips=1), dict(n_monte_carlo=5), dict(drift_scale=-1.0),
+         dict(n_monte_carlo=9)],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             PlatformConfig(**kwargs)
+
+    def test_fields_are_the_settable_choices(self):
+        names = [field.name for field in dataclasses.fields(PlatformConfig)]
+        assert names == ["n_chips", "n_monte_carlo", "drift_scale", "trojan1_depth",
+                         "trojan2_depth", "pcm_suite_name", "seed"]
 
     def test_rf_model_error_scales(self):
         zero = rf_model_error(0.0)
@@ -76,8 +84,7 @@ class TestGeneratedData:
         assert t2.mean() < tf.mean()
 
     def test_drift_moves_silicon_away_from_simulation(self):
-        still = generate_experiment_data(small_platform(drift_scale=0.0,
-                                                        rf_model_error_scale=0.0))
+        still = generate_experiment_data(small_platform(drift_scale=0.0))
         drifted = generate_experiment_data(small_platform())
         def gap(data):
             return abs(data.dutt_pcms.mean() - data.sim_pcms.mean()) / data.sim_pcms.std()
@@ -90,7 +97,7 @@ class TestGeneratedData:
 
     def test_foundry_uses_drift_and_model_error(self):
         config = small_platform(drift_scale=1.0)
-        deck = build_deck(config)
+        deck = default_spice_deck()
         foundry = build_foundry(config, deck, seed=0)
         assert foundry.operating_point != deck.nominal
         assert "uwb_pa" in foundry.analog_model_error

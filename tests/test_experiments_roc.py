@@ -44,7 +44,7 @@ def test_natural_point_matches_prediction(region_and_data):
 def test_auc_perfect_for_separated_scores():
     rng = np.random.default_rng(0)
     clean = rng.standard_normal((100, 2)) * 0.1
-    region = TrustedRegion(nu=0.05, seed=0).fit(clean)
+    region = TrustedRegion(nu=0.05, noise_floor_rel=0.0, seed=0).fit(clean)
     trojans = clean[:50] + 5.0
     fingerprints = np.vstack([clean, trojans])
     infested = np.array([False] * 100 + [True] * 50)

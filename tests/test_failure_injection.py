@@ -36,7 +36,9 @@ class TestDegenerateInputs:
         assert verdicts.shape == (experiment_data.n_devices,)
 
     def test_single_point_boundary_population(self):
-        region = TrustedRegion(nu=0.5, seed=0).fit(np.full((3, 4), 2.0))
+        region = TrustedRegion(nu=0.5, noise_floor_rel=0.0, seed=0).fit(
+            np.full((3, 4), 2.0)
+        )
         assert region.predict_trojan_free(np.full((1, 4), 2.0))[0]
         assert not region.predict_trojan_free(np.full((1, 4), 50.0))[0]
 

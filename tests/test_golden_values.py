@@ -32,7 +32,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.config import DetectorConfig
+from repro.core.config import MARS_MAX_TERMS, MARS_PENALTY, DetectorConfig
 from repro.experiments.ablations import (
     ablate_boundary_method,
     ablate_regression_mode,
@@ -219,12 +219,9 @@ def test_gpd_draw_digest(display_lot):
 
 
 def test_independent_regression_digest(display_lot):
-    config = DetectorConfig()
-    model = MultiOutputMars(
-        max_terms=config.mars_max_terms,
-        max_degree=config.mars_max_degree,
-        penalty=config.mars_penalty,
-    ).fit(display_lot.sim_pcms, display_lot.sim_fingerprints)
+    model = MultiOutputMars(max_terms=MARS_MAX_TERMS, penalty=MARS_PENALTY).fit(
+        display_lot.sim_pcms, display_lot.sim_fingerprints
+    )
     predictions = model.predict(display_lot.dutt_pcms)
     assert predictions.shape == (120, 6)
     digest = hashlib.sha256(np.ascontiguousarray(predictions).tobytes()).hexdigest()

@@ -103,7 +103,7 @@ def test_production_runs_load_no_scipy(tmp_path):
         "import numpy as np\n"
         "from repro.stats.kmm import KernelMeanMatcher\n"
         "data = np.random.default_rng(0).standard_normal((120, 3))\n"
-        "assert KernelMeanMatcher().fit(data[:60], data[60:] + 0.3).converged_\n"
+        "assert KernelMeanMatcher(B=1000.0).fit(data[:60], data[60:] + 0.3).converged_\n"
     )
     assert run_fresh(kmm_fit) == set()
     traced_table1 = (

@@ -98,8 +98,10 @@ def test_trusted_region_invariant_to_feature_scaling(scale, offset):
     far = center + 8.0
     probes = np.vstack([center, far])
 
-    plain = TrustedRegion(nu=0.1, seed=0).fit(population)
-    scaled = TrustedRegion(nu=0.1, seed=0).fit(population * scale + offset)
+    plain = TrustedRegion(nu=0.1, noise_floor_rel=0.0, seed=0).fit(population)
+    scaled = TrustedRegion(nu=0.1, noise_floor_rel=0.0, seed=0).fit(
+        population * scale + offset
+    )
     expected = plain.predict_trojan_free(probes)
     assert expected.tolist() == [True, False]
     np.testing.assert_array_equal(

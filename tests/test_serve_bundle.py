@@ -35,6 +35,16 @@ from repro.serve.bundle import (
 from tests.conftest import small_detector_config
 
 
+#: The detector-config fields earlier bundles carried that are now constants
+#: or component defaults, at the values those bundles were fitted with.
+PARENT_FITTING_KNOBS = {
+    "kde_bandwidth": None, "kde_bandwidth_scale": 0.7, "floor_ratio": 2e-3,
+    "noise_floor_rel": 0.007, "svm_nu": 0.08, "svm_gamma": None,
+    "kmm_B": 10.0, "kmm_eps": None, "kmm_gamma": None, "kmm_resample_size": 100,
+    "mars_max_terms": 15, "mars_max_degree": 1, "mars_penalty": 2.0,
+}
+
+
 @pytest.fixture(scope="module")
 def bundle_path(fitted_detector, tmp_path_factory):
     """The small fitted detector exported once for the whole module."""
@@ -226,14 +236,25 @@ class TestRoundTrip:
         for name, scores in restored.decision_scores_batch(fingerprints).items():
             assert np.array_equal(scores, expected[name]), name
 
-    @pytest.mark.parametrize("retired", [{"n_monte_carlo": 37}, {"n_jobs": 4}],
-                             ids=["n_monte_carlo", "n_jobs"])
+    @pytest.mark.parametrize(
+        "retired",
+        [{"n_monte_carlo": 37}, {"n_jobs": 4}, PARENT_FITTING_KNOBS,
+         {**PARENT_FITTING_KNOBS, "kmm_B": 5.0, "svm_gamma": 0.3, "svm_nu": 0.05,
+          "noise_floor_rel": 0.0, "floor_ratio": 1e-3, "kde_bandwidth": 0.4,
+          "kmm_eps": 0.2, "kmm_gamma": 2.0, "kmm_resample_size": 50,
+          "mars_max_terms": 21, "mars_max_degree": 2, "mars_penalty": 3.0,
+          "kde_bandwidth_scale": 1.0}],
+        ids=["n_monte_carlo", "n_jobs", "fitting_knobs_at_defaults",
+             "fitting_knobs_at_other_values"],
+    )
     def test_bundle_with_retired_n_monte_carlo_loads(self, fitted_detector,
                                                      experiment_data, tmp_path,
                                                      monkeypatch, retired):
         """Bundles written while the detector config carried the unread
-        ``n_monte_carlo`` field or the boundary-fit worker count ``n_jobs``
-        load with any value and score bit for bit."""
+        ``n_monte_carlo`` field, the boundary-fit worker count ``n_jobs`` or
+        the 13 fitting knobs that became constants and component defaults
+        load with any value and score bit for bit: a restored detector only
+        scores, and each boundary carries its own fitted ν, γ and floors."""
         path = _export_edited(fitted_detector, tmp_path / "old.npz",
                               monkeypatch, config=retired)
         restored = load_bundle(path).detector

@@ -34,7 +34,7 @@ class TestFabrication:
         with pytest.raises(ValueError):
             _foundry(deck).fabricate_lot(0)
         with pytest.raises(ValueError):
-            _foundry(deck).fabricate(10, n_lots=0)
+            _foundry(deck).fabricate(0)
 
     def test_lot_count_and_identity(self, deck):
         dies = _foundry(deck).fabricate_lot(10)
@@ -52,11 +52,10 @@ class TestFabrication:
         within = np.std([d.die_params.vth_n for d in foundry.fabricate_lot(12)])
         assert np.std(lot_means) > within / np.sqrt(12) * 1.5
 
-    def test_fabricate_round_robin_lots(self, deck):
-        foundry = _foundry(deck)
-        dies = foundry.fabricate(10, n_lots=3)
+    def test_fabricate_makes_one_lot(self, deck):
+        dies = _foundry(deck).fabricate(10)
         assert len(dies) == 10
-        assert len({d.site.lot_id for d in dies}) == 3
+        assert len({d.site.lot_id for d in dies}) == 1
 
     def test_fabrication_is_seeded(self, deck):
         a = _foundry(deck, seed=42).fabricate_lot(5)

@@ -276,7 +276,7 @@ class TestImportanceResample:
 
     def test_deterministic_given_seed(self, shifted_data):
         train, test = shifted_data
-        matcher = KernelMeanMatcher().fit(train, test)
+        matcher = KernelMeanMatcher(B=1000.0).fit(train, test)
         assert matcher.converged_
         w = matcher.weights
         a = importance_resample(train, w, size=30, rng=9)
