@@ -32,13 +32,3 @@ def bench_config():
     """Detector configuration used by the benches."""
     return DetectorConfig(kde_samples=BENCH_KDE_SAMPLES)
 
-
-@pytest.fixture(scope="session")
-def paper_detector(paper_data):
-    """A detector fitted once on the paper-sized experiment (all of B1..B5)."""
-    from repro.core.pipeline import GoldenChipFreeDetector
-
-    detector = GoldenChipFreeDetector(DetectorConfig(kde_samples=BENCH_KDE_SAMPLES))
-    detector.fit_premanufacturing(paper_data.sim_pcms, paper_data.sim_fingerprints)
-    detector.fit_silicon(paper_data.dutt_pcms)
-    return detector

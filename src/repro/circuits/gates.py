@@ -57,14 +57,6 @@ class Gate:
             params
         )
 
-    def drive_current(self, params: ProcessParameters, vdd: float = DEFAULT_VDD) -> float:
-        """Worst-case (weaker-edge) drive current in amperes."""
-        down = self.pull_down.saturation_current(params, vdd)
-        up = self.pull_up.saturation_current(params, vdd)
-        if np.ndim(down) == 0 and np.ndim(up) == 0:
-            return min(down, up)
-        return np.minimum(down, up)
-
     def _total_cap_ff(self, params: ProcessParameters, load_ff: float) -> float:
         if np.any(np.asarray(load_ff) < 0):
             raise ValueError(f"load_ff must be non-negative, got {load_ff}")

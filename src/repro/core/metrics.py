@@ -18,22 +18,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class DetectionMetrics:
-    """FP/FN counts and rates for one boundary over one DUTT population."""
+    """FP/FN counts for one boundary over one DUTT population."""
 
     fp_count: int
     fn_count: int
     n_infested: int
     n_trojan_free: int
-
-    @property
-    def fp_rate(self) -> float:
-        """Fraction of infested devices that escaped detection."""
-        return self.fp_count / self.n_infested if self.n_infested else 0.0
-
-    @property
-    def fn_rate(self) -> float:
-        """Fraction of Trojan-free devices wrongly flagged."""
-        return self.fn_count / self.n_trojan_free if self.n_trojan_free else 0.0
 
     def as_row(self) -> str:
         """Format like the paper's Table 1 (``FP a/b   FN c/d``)."""

@@ -95,10 +95,6 @@ class EllipticEnvelope:
         """Positive inside the envelope, negative outside."""
         return self.threshold_ - self.mahalanobis_squared(points)
 
-    def predict_inside(self, points) -> np.ndarray:
-        """Boolean array: True where a point lies inside the envelope."""
-        return self.decision_function(points) >= 0.0
-
 
 class GpdTailEnhancer:
     """Synthetic population generator with a generalized Pareto radial tail.
@@ -195,15 +191,3 @@ class GpdTailEnhancer:
             radii[tail_mask] = self.threshold_ + exceedances
         samples = directions * radii[:, None]
         return self._whitener.inverse_transform(samples)
-
-    def tail_quantile(self, probability: float) -> float:
-        """Radius (whitened units) exceeded with the given tail probability."""
-        from scipy import stats
-
-        self._check_fitted()
-        check_in_range(probability, 0.0, 1.0 - self.threshold_quantile, "probability")
-        conditional = probability / (1.0 - self.threshold_quantile)
-        exceedance = stats.genpareto.ppf(
-            1.0 - conditional, self.gpd_shape_, loc=0.0, scale=self.gpd_scale_
-        )
-        return float(self.threshold_ + exceedance)

@@ -16,7 +16,6 @@ staying clear of the Trojans.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -149,14 +148,3 @@ def run_figure4(
         t1_projection=pca.transform(t1),
         t2_projection=pca.transform(t2),
     )
-
-
-def main(argv=None) -> int:
-    """Console entry point: ``repro.cli figure4`` with the same arguments."""
-    from repro.cli import main as cli_main
-
-    return cli_main(["figure4", *(sys.argv[1:] if argv is None else argv)])
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -124,14 +124,6 @@ class ExperimentData:
         """Fingerprints of the Trojan-free DUTTs."""
         return self.dutt_fingerprints[~self.infested]
 
-    def infested_fingerprints(self, trojan_name: Optional[str] = None) -> np.ndarray:
-        """Fingerprints of infested DUTTs, optionally one Trojan type."""
-        mask = self.infested.copy()
-        if trojan_name is not None:
-            names = np.asarray(self.trojan_names)
-            mask &= names == trojan_name
-        return self.dutt_fingerprints[mask]
-
 
 def rf_model_error(scale: float) -> dict:
     """Structure-specific silicon-vs-model discrepancy of the RF chain.

@@ -28,14 +28,6 @@ class OperatingPoint:
     n_infested: int
     n_trojan_free: int
 
-    @property
-    def fp_rate(self) -> float:
-        return self.fp_count / self.n_infested if self.n_infested else 0.0
-
-    @property
-    def fn_rate(self) -> float:
-        return self.fn_count / self.n_trojan_free if self.n_trojan_free else 0.0
-
 
 @dataclass
 class OperatingCurve:

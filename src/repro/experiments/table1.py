@@ -1,13 +1,10 @@
 """Reproduction of Table 1: FP/FN of boundaries B1..B5 over 120 DUTTs.
 
-Run through ``python -m repro.cli table1``; ``python -m
-repro.experiments.table1`` and the ``repro-table1`` console script are the
-same command.
+Run through ``repro table1`` (or ``python -m repro.cli table1``).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -84,14 +81,3 @@ def run_table1(
     detector.fit_silicon(data.dutt_pcms)
     metrics = detector.evaluate(data.dutt_fingerprints, data.infested)
     return Table1Result(metrics=metrics, detector=detector, data=data)
-
-
-def main(argv=None) -> int:
-    """Console entry point: ``repro.cli table1`` with the same arguments."""
-    from repro.cli import main as cli_main
-
-    return cli_main(["table1", *(sys.argv[1:] if argv is None else argv)])
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

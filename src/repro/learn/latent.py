@@ -61,12 +61,6 @@ class LatentGainMars:
         gains = self.gain_model_.predict(x)
         return gains[:, None] * self.feature_means_[None, :]
 
-    def predict_gain(self, x) -> np.ndarray:
-        """Predict the latent gain alone (diagnostics)."""
-        if self.gain_model_ is None:
-            raise RuntimeError("LatentGainMars must be fitted before use")
-        return self.gain_model_.predict(check_2d(x, "x"))
-
     def to_state(self) -> dict:
         """Codec state of the fitted model (see :mod:`repro.cache.codec`)."""
         if self.gain_model_ is None:

@@ -384,11 +384,6 @@ class MarsRegression:
         design = np.column_stack([b.evaluate(x) for b in self.basis_])
         return design @ self.coef_
 
-    def n_basis_functions(self) -> int:
-        """Number of retained basis functions (including the constant)."""
-        self._check_fitted()
-        return len(self.basis_)
-
     # ------------------------------------------------------------------
     # artifact-cache state
     # ------------------------------------------------------------------

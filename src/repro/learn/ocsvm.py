@@ -59,12 +59,9 @@ from repro.utils.validation import check_2d, check_probability
 
 _log = logging.getLogger("repro.ocsvm")
 
-#: Numerical slack around the decision boundary ``f(x) = 0``.  The dual is
-#: only solved to ``tol`` (1e-6), so distinctions at this scale carry no
-#: information: dual weights below it are treated as zero when extracting
-#: support vectors, and :meth:`OneClassSvm.predict_inside` counts points
-#: within it of the boundary as inside.  Referenced everywhere instead of a
-#: repeated literal so the two uses cannot drift apart.
+#: Numerical slack of the dual solution.  The dual is only solved to
+#: ``tol`` (1e-6), so distinctions at this scale carry no information: dual
+#: weights below it are treated as zero when extracting support vectors.
 BOUNDARY_TOL = 1e-12
 
 #: Floor on the pair curvature ``a_ij`` in second-order working-set
@@ -408,21 +405,6 @@ class OneClassSvm:
             scores[start:stop] = block @ self.dual_coefs_
         scores -= self.rho_
         return scores
-
-    def predict_inside(self, points) -> np.ndarray:
-        """Boolean array: True where a point falls inside the trusted region.
-
-        A point exactly on the boundary (f = 0) counts as inside; the
-        :data:`BOUNDARY_TOL` slack absorbs summation-order noise between the
-        solver's gradient and the kernel evaluation here — the dual is only
-        solved to ``tol`` (1e-6), so distinctions at the ``BOUNDARY_TOL``
-        scale carry no information.
-        """
-        return self.decision_function(points) >= -BOUNDARY_TOL
-
-    def training_inlier_fraction(self, data) -> float:
-        """Fraction of ``data`` classified inside (diagnostics; ~1 - nu)."""
-        return float(np.mean(self.predict_inside(data)))
 
     # ------------------------------------------------------------------
     # artifact-cache state

@@ -41,7 +41,6 @@ __all__ = [
     "disable",
     "enabled",
     "setup_logging",
-    "get_logger",
 ]
 
 #: Root logger name; every module logger hangs below it.
@@ -66,11 +65,6 @@ def disable() -> Tuple[List[Span], dict]:
 def enabled() -> bool:
     """Whether an observability session is active."""
     return trace.enabled()
-
-
-def get_logger(name: str) -> logging.Logger:
-    """A logger under the ``repro`` hierarchy (``get_logger("parallel")``)."""
-    return logging.getLogger(f"{LOGGER_NAME}.{name}")
 
 
 def setup_logging(level: str = "warning", stream=None) -> logging.Logger:

@@ -37,7 +37,6 @@ __all__ = [
     "enable",
     "disable",
     "enabled",
-    "finished_spans",
     "span",
 ]
 
@@ -196,11 +195,6 @@ def disable() -> List[Span]:
 def enabled() -> bool:
     """Whether spans are currently being recorded."""
     return _tracer is not None
-
-
-def finished_spans() -> List[Span]:
-    """Spans finished so far in the active session (empty when disabled)."""
-    return list(_tracer.finished) if _tracer is not None else []
 
 
 def span(name: str, **attributes):

@@ -24,7 +24,7 @@ name            unit     role
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -47,20 +47,6 @@ class ProcessParameters:
     tox: float = 7.60
     leff: float = 0.35
     cpar: float = 1.00
-
-    def as_array(self) -> np.ndarray:
-        """The parameters as a vector ordered like :data:`PARAMETER_NAMES`."""
-        return np.array([getattr(self, name) for name in PARAMETER_NAMES], dtype=float)
-
-    @classmethod
-    def from_array(cls, values: Iterable[float]) -> "ProcessParameters":
-        """Build parameters from a vector ordered like :data:`PARAMETER_NAMES`."""
-        values = np.asarray(list(values), dtype=float)
-        if values.shape != (len(PARAMETER_NAMES),):
-            raise ValueError(
-                f"expected {len(PARAMETER_NAMES)} parameter values, got shape {values.shape}"
-            )
-        return cls(**dict(zip(PARAMETER_NAMES, values.tolist())))
 
     def perturbed(self, deltas: Dict[str, float]) -> "ProcessParameters":
         """Return a copy with additive ``deltas`` applied to named parameters."""
@@ -136,13 +122,6 @@ class OperatingPointShift:
                 "cpar": +0.016 * scale,
             }
         )
-
-    def magnitude(self) -> float:
-        """Root-mean-square relative shift over all parameters."""
-        if not self.relative:
-            return 0.0
-        values = np.array(list(self.relative.values()), dtype=float)
-        return float(np.sqrt(np.mean(values**2)))
 
 
 def stack_parameters(realizations: Sequence[ProcessParameters]) -> ProcessParameters:

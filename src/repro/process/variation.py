@@ -161,12 +161,6 @@ class VariationModel:
         """Draw the local parameters of one on-die structure (mismatch)."""
         return self._draw_independent(die_params, self.within_die_sigma, as_generator(rng))
 
-    def total_die_sigma(self, name: str) -> float:
-        """Combined relative sigma (lot + die) seen across a population of dies."""
-        return float(
-            np.hypot(self.lot_sigma.get(name, 0.0), self.die_sigma.get(name, 0.0))
-        )
-
 
 def default_variation_350nm() -> VariationModel:
     """Variation magnitudes representative of a mature 350 nm process.

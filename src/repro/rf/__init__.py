@@ -7,12 +7,11 @@ block transmissions, observed through a band-limited receiver.
 """
 
 from repro.rf.channel import AwgnChannel
-from repro.rf.pulse import GaussianMonocycle, PulseTrain
+from repro.rf.pulse import PulseTrain
 from repro.rf.receiver import BandPassReceiver
 from repro.rf.uwb import UwbTransmitter
 
 __all__ = [
-    "GaussianMonocycle",
     "PulseTrain",
     "UwbTransmitter",
     "AwgnChannel",

@@ -1,11 +1,17 @@
-"""Gaussian monocycle pulses and vectorized pulse trains.
+"""Vectorized trains of Gaussian monocycle pulses.
 
 A UWB transmitter emits very short pulses whose energy concentrates around a
-centre frequency set by the pulse-shaping circuit.  For fingerprinting we
-only need each pulse's amplitude and centre frequency — the receiver reduces
-everything to band-limited energy — so a :class:`PulseTrain` stores those as
-flat numpy arrays rather than sampled waveforms.  :class:`GaussianMonocycle`
-provides the waveform-level view for tests and the attacker demo.
+centre frequency set by the pulse-shaping circuit.  Each pulse is a Gaussian
+monocycle, the first derivative of a Gaussian,
+
+    v(t) = -A * (t/sigma) * exp(0.5 - t^2 / (2 sigma^2)),
+    sigma = 1 / (2 pi f_c),
+
+whose peak magnitude is the amplitude A and whose spectrum peaks at the
+centre frequency f_c.  For fingerprinting we only need each pulse's
+amplitude and centre frequency — the receiver reduces everything to
+band-limited energy — so a :class:`PulseTrain` stores those as flat numpy
+arrays rather than sampled waveforms.
 """
 
 from __future__ import annotations
@@ -13,55 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class GaussianMonocycle:
-    """One Gaussian monocycle pulse: first derivative of a Gaussian.
-
-    Parameters
-    ----------
-    amplitude:
-        Peak amplitude in volts.
-    center_frequency_ghz:
-        Frequency at which the pulse spectrum peaks.
-    """
-
-    amplitude: float
-    center_frequency_ghz: float
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be non-negative, got {self.amplitude}")
-        if self.center_frequency_ghz <= 0:
-            raise ValueError(
-                f"center_frequency_ghz must be positive, got {self.center_frequency_ghz}"
-            )
-
-    @property
-    def sigma_ns(self) -> float:
-        """Gaussian time constant; the monocycle spectrum peaks at 1/(2*pi*sigma)."""
-        return 1.0 / (2.0 * np.pi * self.center_frequency_ghz)
-
-    def waveform(self, t_ns: np.ndarray) -> np.ndarray:
-        """Time-domain waveform v(t) = -A * (t/sigma) * exp(0.5 - t^2/(2 sigma^2)).
-
-        Normalized so the peak magnitude equals ``amplitude``.
-        """
-        t = np.asarray(t_ns, dtype=float)
-        s = self.sigma_ns
-        return -self.amplitude * (t / s) * np.exp(0.5 - t**2 / (2.0 * s**2))
-
-    def energy(self) -> float:
-        """Pulse energy integral of v(t)^2 in V^2*ns (closed form)."""
-        # Int (t/s)^2 exp(1 - t^2/s^2) dt = s * e * sqrt(pi)/2 * ... derive:
-        # v^2 = A^2 (t/s)^2 exp(1 - t^2/s^2); with u = t/s:
-        # E = A^2 s e Int u^2 exp(-u^2) du = A^2 s e sqrt(pi)/2.
-        return float(self.amplitude**2 * self.sigma_ns * np.e * np.sqrt(np.pi) / 2.0)
-
-    def spectrum_peak_frequency_ghz(self) -> float:
-        """Frequency of the spectral peak (equals the centre frequency)."""
-        return self.center_frequency_ghz
 
 
 @dataclass
@@ -98,11 +55,10 @@ class PulseTrain:
         return int(self.bit_indices.shape[0])
 
     def pulse_energies(self) -> np.ndarray:
-        """Per-pulse energy in V^2*ns (vectorized monocycle energy)."""
+        """Per-pulse energy, the integral of v(t)^2, in V^2*ns.
+
+        With u = t/sigma, E = A^2 sigma e Int u^2 exp(-u^2) du
+        = A^2 sigma e sqrt(pi)/2.
+        """
         sigma = 1.0 / (2.0 * np.pi * self.center_frequencies_ghz)
         return self.amplitudes**2 * sigma * np.e * np.sqrt(np.pi) / 2.0
-
-    def pulses(self):
-        """Iterate waveform-level :class:`GaussianMonocycle` views (slow path)."""
-        for amplitude, freq in zip(self.amplitudes, self.center_frequencies_ghz):
-            yield GaussianMonocycle(amplitude=float(amplitude), center_frequency_ghz=float(freq))

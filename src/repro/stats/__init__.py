@@ -12,7 +12,7 @@ from repro.stats.kernels import median_heuristic_gamma, rbf_kernel
 from repro.stats.kmm import KernelMeanMatcher, KmmProblem, importance_resample
 from repro.stats.mmd import mmd_permutation_test, mmd_squared
 from repro.stats.pca import PrincipalComponentAnalysis
-from repro.stats.preprocessing import StandardScaler, Whitener
+from repro.stats.preprocessing import Whitener
 
 __all__ = [
     "rbf_kernel",
@@ -26,6 +26,5 @@ __all__ = [
     "AdaptiveKde",
     "epanechnikov_bandwidth",
     "PrincipalComponentAnalysis",
-    "StandardScaler",
     "Whitener",
 ]

@@ -300,6 +300,7 @@ class AdaptiveKde(EpanechnikovKde):
             max_block_bytes=max_block_bytes,
         )
         self.alpha = float(alpha)
+        #: The fitted local bandwidth factors lambda_i, one per observation.
         self._lambdas: Optional[np.ndarray] = None
 
     def fit(self, data) -> "AdaptiveKde":
@@ -317,12 +318,6 @@ class AdaptiveKde(EpanechnikovKde):
                          lambda_max=float(self._lambdas.max()))
         obs_metrics.histogram("kde.lambda_max").observe(float(self._lambdas.max()))
         return self
-
-    @property
-    def local_bandwidth_factors(self) -> np.ndarray:
-        """The fitted lambda_i factors, one per observation."""
-        self._check_fitted()
-        return self._lambdas.copy()
 
     def density(self, points) -> np.ndarray:
         """Adaptive density estimate f_alpha(m) at each row of ``points``."""

@@ -63,10 +63,6 @@ class PrincipalComponentAnalysis:
             )
         return (data - self.mean_) @ self.components_.T
 
-    def fit_transform(self, data) -> np.ndarray:
-        """Fit and project in one step."""
-        return self.fit(data).transform(data)
-
     def inverse_transform(self, scores) -> np.ndarray:
         """Reconstruct (an approximation of) the original data from scores."""
         self._check_fitted()

@@ -1,4 +1,4 @@
-"""Feature preprocessing: standardization and (floored) whitening.
+"""Feature preprocessing: (floored) whitening.
 
 Side-channel fingerprints are strongly correlated — all six block powers
 scale with the same device gain — so the informative structure (a Trojan's
@@ -22,51 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.validation import check_2d
-
-
-class StandardScaler:
-    """Per-feature standardization: (x - mean) / std.
-
-    Features with zero variance are scaled by 1 (left centred but not
-    divided), so constant features do not produce NaNs.
-    """
-
-    def __init__(self):
-        self.mean_ = None
-        self.scale_ = None
-
-    def fit(self, data) -> "StandardScaler":
-        """Learn per-feature mean and standard deviation."""
-        data = check_2d(data, "data")
-        self.mean_ = data.mean(axis=0)
-        scale = data.std(axis=0, ddof=0)
-        scale[scale == 0.0] = 1.0
-        self.scale_ = scale
-        return self
-
-    def _check_fitted(self):
-        if self.mean_ is None:
-            raise RuntimeError("StandardScaler must be fitted before use")
-
-    def transform(self, data) -> np.ndarray:
-        """Standardize ``data`` with the learned statistics."""
-        self._check_fitted()
-        data = check_2d(data, "data")
-        if data.shape[1] != self.mean_.shape[0]:
-            raise ValueError(
-                f"data has {data.shape[1]} features, scaler was fitted on {self.mean_.shape[0]}"
-            )
-        return (data - self.mean_) / self.scale_
-
-    def fit_transform(self, data) -> np.ndarray:
-        """Fit and transform in one step."""
-        return self.fit(data).transform(data)
-
-    def inverse_transform(self, data) -> np.ndarray:
-        """Map standardized coordinates back to the original space."""
-        self._check_fitted()
-        data = check_2d(data, "data")
-        return data * self.scale_ + self.mean_
 
 
 class Whitener:
@@ -136,10 +91,6 @@ class Whitener:
         whitened = (data - self.mean_) @ self.components_.T
         whitened /= self.scales_
         return whitened
-
-    def fit_transform(self, data) -> np.ndarray:
-        """Fit and transform in one step."""
-        return self.fit(data).transform(data)
 
     def inverse_transform(self, data) -> np.ndarray:
         """Map whitened coordinates back to the original space."""

@@ -11,7 +11,7 @@ mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.crypto.aes import AES128
 from repro.crypto.bits import bytes_to_bits
@@ -58,10 +58,6 @@ class WirelessCryptoChip:
         """The chip's UWB front-end (useful for spec checks)."""
         return self._transmitter
 
-    def is_infested(self) -> bool:
-        """Whether this version carries a hardware Trojan."""
-        return self.trojan is not None
-
     def encrypt(self, plaintext: bytes) -> bytes:
         """AES-encrypt one 16-byte block (identical on all versions)."""
         return self._aes.encrypt_block(plaintext)
@@ -77,7 +73,3 @@ class WirelessCryptoChip:
         return self._transmitter.transmit(
             bits, trojan=self.trojan, key_bits=self._key_bits if self.trojan else None
         )
-
-    def transmit_session(self, plaintexts: List[bytes]) -> List[PulseTrain]:
-        """Transmit a sequence of plaintext blocks (one pulse train each)."""
-        return [self.transmit_plaintext(plaintext) for plaintext in plaintexts]

@@ -9,7 +9,6 @@ with the outgoing ciphertext bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -33,7 +32,3 @@ class SerializationBuffer:
                 f"ciphertext must be {self.block_bits // 8} bytes, got {len(ciphertext)}"
             )
         return bytes_to_bits(ciphertext)
-
-    def serialize_many(self, ciphertexts: List[bytes]) -> List[np.ndarray]:
-        """Serialize a sequence of blocks, preserving order."""
-        return [self.serialize(block) for block in ciphertexts]

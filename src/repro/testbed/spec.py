@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
 from repro.crypto.aes import AES128
 from repro.crypto.bits import random_block
 from repro.rf.receiver import BandPassReceiver
@@ -140,10 +138,3 @@ class ProductionTest:
             frequency_ghz=freq,
             frequency_pass=self.limits.freq_low_ghz <= freq <= self.limits.freq_high_ghz,
         )
-
-    def yield_fraction(self, chips) -> float:
-        """Fraction of ``chips`` passing the full flow."""
-        chips = list(chips)
-        if not chips:
-            raise ValueError("need at least one chip")
-        return float(np.mean([self.run(chip).passed for chip in chips]))

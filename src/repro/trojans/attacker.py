@@ -15,7 +15,7 @@ and motivate side-channel detection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,11 +49,6 @@ class KeyRecoveryAttacker:
         )
         np.add.at(self._sums, train.bit_indices, values)
         np.add.at(self._counts, train.bit_indices, 1)
-
-    def observe_all(self, trains: List[PulseTrain]) -> None:
-        """Accumulate a batch of intercepted transmissions."""
-        for train in trains:
-            self.observe(train)
 
     def coverage(self) -> float:
         """Fraction of the 128 bit positions observed at least once."""

@@ -63,13 +63,6 @@ def test_more_parasitics_means_longer_delay(inv):
     assert inv.propagation_delay_ns(loaded, 10.0) > inv.propagation_delay_ns(base, 10.0)
 
 
-def test_drive_current_is_weaker_edge(inv):
-    params = nominal_350nm()
-    pd = inv.pull_down.saturation_current(params)
-    pu = inv.pull_up.saturation_current(params)
-    assert inv.drive_current(params) == pytest.approx(min(pd, pu))
-
-
 def test_gate_delay_plausible_magnitude(inv):
     # A 350 nm inverter driving a small fan-out: tens to hundreds of ps.
     delay = inv.propagation_delay_ns(nominal_350nm(), load_ff=15.0)

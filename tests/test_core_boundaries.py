@@ -110,7 +110,8 @@ class TestSubsampledWhitening:
         population = _large_population()
         region = TrustedRegion(nu=0.01, noise_floor_rel=0.003, seed=7).fit(population)
         floor_sigma = 0.003 * float(np.mean(np.abs(population)))
-        whitened = Whitener(floor_ratio=2e-3, floor_sigma=floor_sigma).fit_transform(population)
+        whitener = Whitener(floor_ratio=2e-3, floor_sigma=floor_sigma).fit(population)
+        whitened = whitener.transform(population)
         reference = OneClassSvm(nu=0.01, max_training_samples=1500, seed=7).fit(whitened)
         svm = region.svm
         np.testing.assert_array_equal(svm.support_vectors_, reference.support_vectors_)

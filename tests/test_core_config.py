@@ -28,6 +28,7 @@ def test_fields_are_the_settable_choices():
         dict(svm_max_training_samples=5),
         dict(svm_max_training_samples=9),
     ],
+    ids=lambda kwargs: ",".join(f"{key}={value}" for key, value in kwargs.items()),
 )
 def test_rejects_invalid(kwargs):
     with pytest.raises(ValueError):

@@ -18,16 +18,6 @@ class TestMetrics:
         assert metrics.n_infested == 2
         assert metrics.n_trojan_free == 2
 
-    def test_rates(self):
-        metrics = DetectionMetrics(fp_count=2, fn_count=1, n_infested=8, n_trojan_free=4)
-        assert metrics.fp_rate == pytest.approx(0.25)
-        assert metrics.fn_rate == pytest.approx(0.25)
-
-    def test_rates_with_empty_classes(self):
-        metrics = DetectionMetrics(fp_count=0, fn_count=0, n_infested=0, n_trojan_free=0)
-        assert metrics.fp_rate == 0.0
-        assert metrics.fn_rate == 0.0
-
     def test_perfect_detection(self):
         predicted = np.array([True] * 5 + [False] * 10)
         infested = np.array([False] * 5 + [True] * 10)

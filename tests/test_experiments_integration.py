@@ -6,7 +6,6 @@ import pytest
 from repro.core.config import DetectorConfig
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.platformcfg import PlatformConfig
-from repro.experiments.table1 import main as table1_main
 from repro.experiments.table1 import run_table1
 
 
@@ -76,10 +75,3 @@ class TestFigure4:
     def test_format_is_printable(self, figure):
         text = figure.format()
         assert "S5" in text and "cover" in text
-
-
-class TestCli:
-    def test_table1_main_runs(self, capsys):
-        assert table1_main(["--kde-samples", "2000", "--chips", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "matches paper shape" in out

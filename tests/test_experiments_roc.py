@@ -57,8 +57,8 @@ def test_rates_and_format(region_and_data):
     region, fingerprints, infested = region_and_data
     curve = operating_curve(region, fingerprints, infested)
     point = curve.natural_point
-    assert 0.0 <= point.fp_rate <= 1.0
-    assert 0.0 <= point.fn_rate <= 1.0
+    assert 0 <= point.fp_count <= point.n_infested
+    assert 0 <= point.fn_count <= point.n_trojan_free
     text = curve.format()
     assert "AUC" in text and "zero escapes" in text
 

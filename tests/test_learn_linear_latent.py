@@ -41,6 +41,4 @@ class TestLatentGainMars:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             LatentGainMars().predict(np.zeros((1, 1)))
-        with pytest.raises(RuntimeError):
-            LatentGainMars().predict_gain(np.zeros((1, 1)))
 

@@ -75,13 +75,13 @@ class TestFitting:
         x = rng.uniform(-1, 1, size=(100, 1))
         y = rng.standard_normal(100)  # pure noise
         model = MarsRegression(max_terms=15, penalty=3.0).fit(x, y)
-        assert model.n_basis_functions() <= 5
+        assert len(model.basis_) <= 5
 
     def test_max_terms_caps_forward_pass(self, rng):
         x = rng.uniform(-2, 2, size=(200, 2))
         y = np.sin(2 * x[:, 0]) + np.cos(2 * x[:, 1])
         model = MarsRegression(max_terms=7, penalty=0.0).fit(x, y)
-        assert model.n_basis_functions() <= 7
+        assert len(model.basis_) <= 7
 
     def test_additive_model_handles_two_variables(self, rng):
         x = rng.uniform(-2, 2, size=(300, 2))

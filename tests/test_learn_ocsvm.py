@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.learn.ocsvm import BOUNDARY_TOL, _BLOCK_ENTRIES, OneClassSvm
+from repro.core.boundaries import trojan_free
+from repro.learn.ocsvm import _BLOCK_ENTRIES, OneClassSvm
 from repro.stats.kernels import pairwise_sq_dists, rbf_kernel
 from tests.oracles import FullScanOneClassSvm
 
@@ -43,7 +44,7 @@ class TestNuProperty:
     @pytest.mark.parametrize("nu", [0.05, 0.1, 0.25])
     def test_training_outlier_fraction_close_to_nu(self, gaussian_cloud, nu):
         svm = OneClassSvm(nu=nu, seed=0).fit(gaussian_cloud)
-        outlier_fraction = 1.0 - svm.training_inlier_fraction(gaussian_cloud)
+        outlier_fraction = 1.0 - trojan_free(svm.decision_function(gaussian_cloud)).mean()
         assert outlier_fraction == pytest.approx(nu, abs=0.05)
 
     def test_support_vector_fraction_at_least_nu(self, gaussian_cloud):
@@ -56,8 +57,8 @@ class TestNuProperty:
 class TestBoundary:
     def test_center_inside_far_point_outside(self, gaussian_cloud):
         svm = OneClassSvm(nu=0.1, seed=0).fit(gaussian_cloud)
-        assert svm.predict_inside(np.array([[0.0, 0.0]]))[0]
-        assert not svm.predict_inside(np.array([[8.0, 8.0]]))[0]
+        assert trojan_free(svm.decision_function(np.array([[0.0, 0.0]])))[0]
+        assert not trojan_free(svm.decision_function(np.array([[8.0, 8.0]])))[0]
 
     def test_decision_function_decreases_outward(self, gaussian_cloud):
         # Fixed gamma: the median-heuristic kernel is deliberately broad and
@@ -74,8 +75,8 @@ class TestBoundary:
             rng.standard_normal((200, 2)) * 0.3 + [+3.0, 0.0],
         ])
         svm = OneClassSvm(nu=0.05, gamma=2.0, seed=0).fit(clusters)
-        assert svm.predict_inside(np.array([[-3.0, 0.0], [3.0, 0.0]])).all()
-        assert not svm.predict_inside(np.array([[0.0, 0.0]]))[0]
+        assert trojan_free(svm.decision_function(np.array([[-3.0, 0.0], [3.0, 0.0]]))).all()
+        assert not trojan_free(svm.decision_function(np.array([[0.0, 0.0]])))[0]
 
     def test_explicit_gamma_is_used(self, gaussian_cloud):
         svm = OneClassSvm(nu=0.1, gamma=2.5, seed=0).fit(gaussian_cloud)
@@ -271,8 +272,6 @@ class TestBlockedInference:
         scores = svm.decision_function(points)
         np.testing.assert_allclose(scores, dense, rtol=0, atol=1e-300)
         np.testing.assert_array_equal(scores >= 0.0, dense >= 0.0)
-        np.testing.assert_array_equal(svm.predict_inside(points),
-                                      dense >= -BOUNDARY_TOL)
         # Subtracting rho rounds the tail away; with rho = 0 the bound
         # applies to the kernel sums themselves.
         unshifted = copy.copy(svm)

@@ -30,6 +30,11 @@ def _always_clean():
         obs.disable()
 
 
+def _finished():
+    """End the session and return its finished spans."""
+    return obs.disable()[0]
+
+
 class TestSpanBasics:
     def test_nesting_builds_parent_links(self, obs_session):
         with span("outer"):
@@ -37,7 +42,7 @@ class TestSpanBasics:
                 pass
             with span("inner2"):
                 pass
-        spans = {s.name: s for s in trace.finished_spans()}
+        spans = {s.name: s for s in _finished()}
         assert spans["inner"].parent_id == spans["outer"].span_id
         assert spans["inner2"].parent_id == spans["outer"].span_id
         assert spans["outer"].parent_id is None
@@ -46,20 +51,20 @@ class TestSpanBasics:
         with span("outer"):
             with span("inner"):
                 pass
-        names = [s.name for s in trace.finished_spans()]
+        names = [s.name for s in _finished()]
         assert names == ["inner", "outer"]
 
     def test_attributes_at_open_and_via_set(self, obs_session):
         with span("fit", n=1500) as sp:
             sp.set(bandwidth=0.25, converged=True)
-        recorded = trace.finished_spans()[-1]
+        recorded = _finished()[-1]
         assert recorded.attributes == {"n": 1500, "bandwidth": 0.25,
                                        "converged": True}
 
     def test_wall_and_cpu_recorded(self, obs_session):
         with span("sleepy"):
             time.sleep(0.02)
-        recorded = trace.finished_spans()[-1]
+        recorded = _finished()[-1]
         assert recorded.wall >= 0.015
         assert recorded.cpu >= 0.0
         assert recorded.start > 0
@@ -68,13 +73,13 @@ class TestSpanBasics:
         with pytest.raises(ValueError):
             with span("doomed"):
                 raise ValueError("boom")
-        recorded = trace.finished_spans()[-1]
+        recorded = _finished()[-1]
         assert recorded.attributes["error"] == "ValueError"
 
     def test_round_trip_dict(self, obs_session):
         with span("fit", n=3):
             pass
-        recorded = trace.finished_spans()[-1]
+        recorded = _finished()[-1]
         clone = trace.Span.from_dict(recorded.to_dict())
         assert clone == recorded
 
@@ -87,7 +92,7 @@ class TestDisabledTracer:
         assert first is second  # one shared object, no allocation
         with first as sp:
             sp.set(anything=1)
-        assert trace.finished_spans() == []
+        assert _finished() == []
 
     def test_disable_returns_session_spans(self):
         obs.enable()
@@ -103,7 +108,7 @@ class TestDisabledTracer:
         with span("stale"):
             pass
         obs.enable()
-        assert trace.finished_spans() == []
+        assert _finished() == []
 
     def test_disabled_overhead_is_negligible(self):
         """Disabled spans crossed by one KDE fit must cost < 5% of the fit.

@@ -5,42 +5,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.rf.pulse import GaussianMonocycle, PulseTrain
+from repro.rf.pulse import PulseTrain
+
+
+def _energy(amplitude, freq):
+    """Closed-form energy of one pulse, read through :class:`PulseTrain`."""
+    return PulseTrain([0], [amplitude], [freq]).pulse_energies()[0]
 
 
 class TestGaussianMonocycle:
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            GaussianMonocycle(amplitude=-1.0, center_frequency_ghz=4.0)
-        with pytest.raises(ValueError):
-            GaussianMonocycle(amplitude=1.0, center_frequency_ghz=0.0)
-
-    def test_peak_amplitude_is_normalized(self):
-        pulse = GaussianMonocycle(amplitude=2.0, center_frequency_ghz=4.0)
-        t = np.linspace(-1, 1, 20001)
-        peak = np.abs(pulse.waveform(t)).max()
-        assert peak == pytest.approx(2.0, rel=1e-4)
-
-    def test_waveform_is_odd(self):
-        pulse = GaussianMonocycle(amplitude=1.0, center_frequency_ghz=4.0)
-        t = np.linspace(0.01, 0.5, 50)
-        np.testing.assert_allclose(pulse.waveform(t), -pulse.waveform(-t))
-
     def test_energy_matches_numerical_integral(self):
-        pulse = GaussianMonocycle(amplitude=1.5, center_frequency_ghz=4.3)
+        amplitude, freq = 1.5, 4.3
+        sigma = 1.0 / (2.0 * np.pi * freq)
         t = np.linspace(-1.0, 1.0, 400001)
-        numeric = np.trapezoid(pulse.waveform(t) ** 2, t)
-        assert pulse.energy() == pytest.approx(numeric, rel=1e-4)
+        waveform = -amplitude * (t / sigma) * np.exp(0.5 - t**2 / (2.0 * sigma**2))
+        numeric = np.trapezoid(waveform**2, t)
+        assert _energy(amplitude, freq) == pytest.approx(numeric, rel=1e-4)
 
     @given(st.floats(min_value=0.1, max_value=5.0), st.floats(min_value=1.0, max_value=10.0))
     def test_energy_scales_with_amplitude_squared(self, amplitude, freq):
-        one = GaussianMonocycle(amplitude=1.0, center_frequency_ghz=freq).energy()
-        scaled = GaussianMonocycle(amplitude=amplitude, center_frequency_ghz=freq).energy()
+        one = _energy(1.0, freq)
+        scaled = _energy(amplitude, freq)
         assert scaled == pytest.approx(amplitude**2 * one, rel=1e-9)
 
     def test_energy_decreases_with_frequency(self):
-        low = GaussianMonocycle(amplitude=1.0, center_frequency_ghz=3.0).energy()
-        high = GaussianMonocycle(amplitude=1.0, center_frequency_ghz=6.0).energy()
+        low = _energy(1.0, 3.0)
+        high = _energy(1.0, 6.0)
         assert high == pytest.approx(low / 2.0, rel=1e-9)
 
 
@@ -69,11 +59,4 @@ class TestPulseTrain:
 
     def test_pulse_energies_match_single_pulse(self):
         train = self._train(3)
-        single = GaussianMonocycle(amplitude=2.0, center_frequency_ghz=4.3).energy()
-        np.testing.assert_allclose(train.pulse_energies(), single)
-
-    def test_pulses_iterator_yields_monocycles(self):
-        pulses = list(self._train(3).pulses())
-        assert len(pulses) == 3
-        assert all(isinstance(p, GaussianMonocycle) for p in pulses)
-        assert pulses[0].amplitude == 2.0
+        np.testing.assert_allclose(train.pulse_energies(), _energy(2.0, 4.3))

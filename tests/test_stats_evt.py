@@ -25,8 +25,6 @@ class TestValidation:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             GpdTailEnhancer().sample(10)
-        with pytest.raises(RuntimeError):
-            GpdTailEnhancer().tail_quantile(0.01)
 
 
 class TestFit:
@@ -79,17 +77,3 @@ class TestSampling:
         with pytest.raises(ValueError):
             GpdTailEnhancer().fit(gaussian_data).sample(0)
 
-
-class TestTailQuantile:
-    def test_monotone_in_probability(self, gaussian_data):
-        enhancer = GpdTailEnhancer().fit(gaussian_data)
-        assert enhancer.tail_quantile(0.01) > enhancer.tail_quantile(0.1)
-
-    def test_quantile_above_threshold(self, gaussian_data):
-        enhancer = GpdTailEnhancer().fit(gaussian_data)
-        assert enhancer.tail_quantile(0.05) >= enhancer.threshold_
-
-    def test_probability_validated(self, gaussian_data):
-        enhancer = GpdTailEnhancer(threshold_quantile=0.7).fit(gaussian_data)
-        with pytest.raises(ValueError):
-            enhancer.tail_quantile(0.5)  # beyond the modelled tail mass

@@ -125,18 +125,18 @@ class TestAdaptiveKde:
     def test_alpha_zero_matches_fixed_bandwidths(self):
         data = np.random.default_rng(0).standard_normal((80, 2))
         kde = AdaptiveKde(alpha=0.0).fit(data)
-        np.testing.assert_allclose(kde.local_bandwidth_factors, 1.0)
+        np.testing.assert_allclose(kde._lambdas, 1.0)
 
     def test_tail_points_get_larger_bandwidths(self):
         rng = np.random.default_rng(0)
         data = np.vstack([rng.standard_normal((100, 1)), [[6.0]]])
         kde = AdaptiveKde(alpha=0.5).fit(data)
-        lambdas = kde.local_bandwidth_factors
+        lambdas = kde._lambdas
         assert lambdas[-1] > np.median(lambdas[:-1])
 
     def test_geometric_mean_normalization(self):
         data = np.random.default_rng(0).standard_normal((100, 2))
-        lambdas = AdaptiveKde(alpha=0.5).fit(data).local_bandwidth_factors
+        lambdas = AdaptiveKde(alpha=0.5).fit(data)._lambdas
         assert np.exp(np.mean(np.log(lambdas))) == pytest.approx(1.0, rel=0.05)
 
     def test_adaptive_samples_reach_further_than_fixed(self):

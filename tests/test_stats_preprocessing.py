@@ -1,4 +1,4 @@
-"""StandardScaler and floored Whitener."""
+"""The floored Whitener."""
 
 import numpy as np
 import pytest
@@ -6,44 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.stats.preprocessing import StandardScaler, Whitener
+from repro.stats.preprocessing import Whitener
 
 matrices = arrays(
     dtype=float,
     shape=st.tuples(st.integers(3, 20), st.integers(1, 5)),
     elements=st.floats(min_value=-100, max_value=100, allow_nan=False),
 )
-
-
-class TestStandardScaler:
-    def test_transform_standardizes(self):
-        rng = np.random.default_rng(0)
-        data = rng.standard_normal((500, 3)) * [2.0, 5.0, 0.1] + [1.0, -3.0, 7.0]
-        out = StandardScaler().fit_transform(data)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, rtol=1e-12)
-
-    def test_constant_feature_is_centred_not_scaled(self):
-        data = np.column_stack([np.arange(5.0), np.full(5, 2.0)])
-        out = StandardScaler().fit_transform(data)
-        np.testing.assert_allclose(out[:, 1], 0.0)
-
-    @settings(max_examples=25)
-    @given(matrices)
-    def test_inverse_round_trip(self, data):
-        scaler = StandardScaler().fit(data)
-        np.testing.assert_allclose(
-            scaler.inverse_transform(scaler.transform(data)), data, atol=1e-8
-        )
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            StandardScaler().transform(np.zeros((2, 2)))
-
-    def test_feature_count_checked(self):
-        scaler = StandardScaler().fit(np.zeros((3, 2)) + np.arange(3)[:, None])
-        with pytest.raises(ValueError):
-            scaler.transform(np.zeros((2, 5)))
 
 
 class TestWhitener:
@@ -57,7 +26,8 @@ class TestWhitener:
         rng = np.random.default_rng(0)
         base = rng.standard_normal((2000, 2))
         data = base @ np.array([[2.0, 1.5], [0.0, 0.5]])
-        out = Whitener(floor_ratio=1e-9).fit_transform(data)
+        whitener = Whitener(floor_ratio=1e-9).fit(data)
+        out = whitener.transform(data)
         cov = np.cov(out.T)
         np.testing.assert_allclose(cov, np.eye(2), atol=0.1)
 

@@ -35,12 +35,6 @@ class TestSerializer:
         with pytest.raises(ValueError):
             SerializationBuffer().serialize(b"\x00" * 15)
 
-    def test_serialize_many_preserves_order(self):
-        blocks = [bytes([i]) + b"\x00" * 15 for i in range(3)]
-        streams = SerializationBuffer().serialize_many(blocks)
-        assert len(streams) == 3
-        assert streams[1][:8].tolist() == [0, 0, 0, 0, 0, 0, 0, 1]
-
 
 class TestChip:
     def test_encrypt_matches_reference_aes(self):
@@ -64,18 +58,6 @@ class TestChip:
         plaintext = b"\x11" * 16
         train = chip.transmit_plaintext(plaintext)
         assert len(train) == int(bytes_to_bits(chip.encrypt(plaintext)).sum())
-
-    def test_is_infested(self):
-        key = random_key(rng=0)
-        assert not WirelessCryptoChip(die=_StubDie(), key=key).is_infested()
-        assert WirelessCryptoChip(
-            die=_StubDie(), key=key, trojan=AmplitudeModulationTrojan()
-        ).is_infested()
-
-    def test_transmit_session(self):
-        chip = WirelessCryptoChip(die=_StubDie(), key=random_key(rng=0))
-        trains = chip.transmit_session([b"\x01" * 16, b"\x02" * 16])
-        assert len(trains) == 2
 
 
 class TestCampaign:

@@ -47,7 +47,7 @@ class TestSpecLimits:
 class TestProductionFlow:
     def test_clean_population_yields(self, program, dies, key):
         chips = [WirelessCryptoChip(die=die, key=key) for die in dies]
-        assert program.yield_fraction(chips) == 1.0
+        assert all(program.run(chip).passed for chip in chips)
 
     def test_trojan_devices_pass(self, program, dies, key):
         for trojan in (AmplitudeModulationTrojan(depth=0.17),
@@ -56,7 +56,7 @@ class TestProductionFlow:
                 WirelessCryptoChip(die=die, key=key, trojan=trojan, version="T")
                 for die in dies
             ]
-            assert program.yield_fraction(chips) == 1.0
+            assert all(program.run(chip).passed for chip in chips)
 
     def test_wrong_key_fails_functional(self, program, dies):
         impostor = WirelessCryptoChip(die=dies[0], key=random_key(rng=99))
@@ -100,10 +100,6 @@ class TestProductionFlow:
 
         result = program.run(WirelessCryptoChip(die=DetunedDie(dies[0]), key=key))
         assert not result.frequency_pass
-
-    def test_yield_requires_chips(self, program):
-        with pytest.raises(ValueError):
-            program.yield_fraction([])
 
     def test_result_fields(self, program, dies, key):
         result = program.run(WirelessCryptoChip(die=dies[1], key=key))
